@@ -20,7 +20,8 @@ import numpy as np
 from . import combinatorics as comb
 from . import hypergraph as hg
 from .bounds import bound_suite_max, bound_suite_min, structural_bounds
-from .solver import SolveOptions, brute_force_lambda, lambda_curve, lambda_max, lambda_min
+from .solver import (SolveOptions, _odd_rank_min, brute_force_lambda, lambda_curve, lambda_max,
+                     lambda_min)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,7 +140,8 @@ def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     try:
         top = lambda_max(G, p, opts)
-        bot = lambda_min(G, p, opts)
+        # at odd rank the minimum is the flipped maximum: do not solve it again
+        bot = _odd_rank_min(G, top) if G.rank % 2 == 1 else lambda_min(G, p, opts)
         reports = (bound_suite_max(G, p, top.value)
                    + structural_bounds(G, p, top.value)
                    + bound_suite_min(G, p, bot.value, top.value))

@@ -1,10 +1,12 @@
-"""The degree-r edge polynomial of a weighted hypergraph and its gradient.
+"""The degree-r edge polynomial of a weighted hypergraph, its gradient and
+its Hessian.
 
 For a rank-r graph the polynomial is r! * sum over edges of weight times the
 product of the edge's coordinates.  The value is summed exactly (math.fsum),
 since it is the reported number; the gradient adds its leave-one-out
-products per vertex with np.bincount in the fixed edge order: reproducible
-bit for bit, with an error of a few ulps of the largest component.
+products per vertex, and the Hessian its leave-two-out products per vertex
+pair, with np.bincount in the fixed edge order: reproducible bit for bit,
+with an error of a few ulps of the largest component.
 """
 
 from __future__ import annotations
@@ -106,6 +108,31 @@ def gradient(G: WeightedHypergraph, x: np.ndarray) -> np.ndarray:
     x = _check_length(G, x)
     idx, w = G.arrays()
     return _loo_gradient(idx, w, x, G.n_vertices)
+
+
+def hessian(G: WeightedHypergraph, x: np.ndarray) -> np.ndarray:
+    """Hessian of the edge polynomial: H_ij = r! * sum over edges e through i
+    and j of w_e times the product of x over e minus {i, j}; zero diagonal.
+
+    The leave-two-out products of each slot pair are added with np.bincount
+    over i*n + j in the fixed edge order, like the gradient, so the result is
+    reproducible bit for bit; adding the transpose makes it exactly symmetric.
+    """
+    x = _check_length(G, x)
+    n = G.n_vertices
+    idx, w = G.arrays()
+    r = idx.shape[1]
+    half = np.zeros(n * n)
+    Y = x[idx.T]
+    for a in range(r):
+        for b in range(a + 1, r):
+            prod = w.copy()
+            for k in range(r):
+                if k != a and k != b:
+                    prod *= Y[k]
+            half += np.bincount(idx[:, a] * n + idx[:, b], weights=prod, minlength=n * n)
+    half = half.reshape(n, n)
+    return math.factorial(r) * (half + half.T)
 
 
 def evaluate_many(G: WeightedHypergraph, X: np.ndarray) -> np.ndarray:

@@ -13,8 +13,16 @@ Algorithm map
   target min, odd rank: the negated maximizer, with signs flipped on an odd
     transversal of the support when one exists.
   target min, even rank: projected gradient descent on the full sphere with
-    sign-randomized restarts; when the support has an odd transversal the
-    sign-flipped maximizer is an additional seed and attains the optimum.
+    sign-randomized restarts, plus the best -1/0/+1 sign pattern for n <= 6;
+    when the support has an odd transversal the sign-flipped maximizer is an
+    additional seed and attains the optimum.  The descent runs in chunks of
+    20, 40, ... (at most 5000) iterations; once an iterate's relative
+    residual is at most 1e-2 (or after 500 iterations) Newton on the
+    stationarity system polishes it, in the dual point u = sign(x)|x|^(p-1)
+    for p < 2.  A Newton point ends the restart when it meets tol, is no
+    worse than the iterate and the tangent Lagrangian Hessian has the sign of
+    a minimum; on a saddle a step along the most-wrong curvature resumes the
+    descent.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort"; "converged"
@@ -37,10 +45,19 @@ import numpy as np
 from .combinatorics import equivalence_classes, odd_transversal
 from .hypergraph import WeightedHypergraph
 from .polyform import (PointOnSphere, _loo_gradient, check_exponent, evaluate,
-                       evaluate_many, gradient, lp_norm, normalize_lp)
+                       evaluate_many, gradient, hessian, lp_norm, normalize_lp)
 
 _STABLE_ITERS = 10
 _MAX_EDGE_STARTS = 8
+_PATTERN_MAX_N = 6      # all 3^n sign patterns, or 2^(n-1) at p = 1, are tried
+# _pgd_sphere's Newton polish (see its docstring); tried earlier than the
+# gate, Newton can settle on a worse local minimum than the descent reaches
+_FIRST_CHUNK = 20
+_MAX_CHUNK = 5000
+_NEWTON_GATE = 1e-2
+_NEWTON_AFTER = 500
+_NEWTON_STEPS = 50
+_NEWTON_MAX_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -176,12 +193,43 @@ def _fixed_point_ascent(G, p, x0, rho, tol, max_iter) -> _Cand:
     return finish(False, fresh=True)
 
 
+def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
+    """One retracted step along the projected gradient, halving eta until the
+    value improves; returns (x, lam, eta) or None when no step improves."""
+    normal = _signed_power(x, p - 1.0)
+    nn = float(normal @ normal)
+    d = g - (float(g @ normal) / nn) * normal if nn > 0 else g
+    if eta is None:
+        eta = 1.0 / max(1.0, float(np.abs(d).max()))
+    for k in range(60):
+        trial = x + sense * eta * d
+        if nonneg:
+            trial = np.maximum(trial, 0.0)
+        nrm = lp_norm(trial, p)
+        if nrm > 0.0:
+            trial = trial / nrm
+            lam_t = evaluate(G, trial)
+            # require progress above the float-noise floor, else the
+            # iteration churns at a stationary point
+            if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
+                return trial, lam_t, 1.5 * eta if k == 0 else eta
+        eta *= 0.5
+    return None
+
+
 def _pgd_sphere(G, p, x0, tol, max_iter, sense, nonneg) -> _Cand:
-    """Projected gradient with renormalization retraction and Armijo halving.
+    """Projected gradient with renormalization retraction and Armijo halving,
+    polished by Newton on the stationarity system.
 
     The step direction is the gradient projected onto the sphere's tangent
     space (normal direction sign(x)|x|^(p-1)), which makes the retracted
     step a guaranteed ascent/descent direction away from stationary points.
+    Near a minimizer with small coordinates at p < 2 that descent is only
+    linear, so the iterations run in chunks of 20, 40, 80, ... (at most 5000)
+    and, after each chunk or when the descent stops short of tol, the
+    iterate is handed to `_newton_polish` once its relative residual is at
+    most 1e-2 or the restart has run 500 iterations.  A polished point that
+    meets tol ends the restart; a step off a saddle resumes the descent.
     """
     x = np.asarray(x0, dtype=np.float64)
     if nonneg:
@@ -194,6 +242,7 @@ def _pgd_sphere(G, p, x0, tol, max_iter, sense, nonneg) -> _Cand:
     it = 0
     lam = evaluate(G, x)
     res = math.inf
+    chunk = check_at = _FIRST_CHUNK
     for it in range(1, max_iter + 1):
         g = gradient(G, x)
         res = _residual_from_grad(G.rank, p, lam, x, g)
@@ -204,42 +253,154 @@ def _pgd_sphere(G, p, x0, tol, max_iter, sense, nonneg) -> _Cand:
                     return _Cand(x, lam, res, it, True)
             if abs(lam - lam_prev) <= 0.01 * tol * max(1.0, abs(lam)):
                 stalled += 1
-                if stalled >= 5 * _STABLE_ITERS:
-                    return _Cand(x, lam, res, it, res <= tol)
             else:
                 stalled = 0
         else:
             stable = 0
             stalled = 0
-        normal = _signed_power(x, p - 1.0)
-        nn = float(normal @ normal)
-        d = g - (float(g @ normal) / nn) * normal if nn > 0 else g
-        if eta is None:
-            eta = 1.0 / max(1.0, float(np.abs(d).max()))
-        accepted = False
-        first_try = True
-        for _ in range(60):
-            trial = x + sense * eta * d
-            if nonneg:
-                trial = np.maximum(trial, 0.0)
-            nrm = lp_norm(trial, p)
-            if nrm > 0.0:
-                trial = trial / nrm
-                lam_t = evaluate(G, trial)
-                # require progress above the float-noise floor, else the
-                # iteration churns at a stationary point
-                if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
-                    lam_prev, x, lam = lam, trial, lam_t
-                    accepted = True
-                    if first_try:
-                        eta *= 1.5
-                    break
-            eta *= 0.5
-            first_try = False
-        if not accepted:
+        step = None
+        if stalled < 5 * _STABLE_ITERS:
+            step = _armijo_step(G, p, x, lam, g, eta, sense, nonneg)
+        polish = step is None or it == check_at or it == max_iter
+        if it == check_at:
+            chunk = min(2 * chunk, _MAX_CHUNK)
+            check_at += chunk
+        if polish and res > tol and (res <= _NEWTON_GATE * max(1.0, abs(lam))
+                                     or it >= _NEWTON_AFTER):
+            polished = _newton_polish(G, p, x, lam, tol, sense, nonneg)
+            if polished is not None:
+                y, lam_y, res_y, done = polished
+                if done:
+                    return _Cand(y, lam_y, res_y, it, True)
+                x, lam, eta, lam_prev, stable, stalled = y, lam_y, None, None, 0, 0
+                continue
+        if step is None:
             return _Cand(x, lam, res, it, res <= tol)
+        lam_prev = lam
+        x, lam, eta = step
     res = _residual_from_grad(G.rank, p, lam, x, gradient(G, x))
     return _Cand(x, lam, res, it, False)
+
+
+def _newton_polish(G, p, x, lam, tol, sense, nonneg):
+    """Newton from the iterate (x, lam) of a sphere descent.
+
+    Returns (y, value, residual, True) when Newton reaches a point y that
+    meets tol, is no worse than x (up to 1e-12 relative) and passes the
+    second-order test; (y, value, nan, False) when Newton lands on a saddle
+    and a backtracked step along its most-wrong curvature improves on both
+    the saddle and x, so that the descent resumes from y; None otherwise, so
+    that it resumes from x.
+    """
+    with np.errstate(all="ignore"):
+        y = _newton_stationary(G, p, x, lam, tol)
+    if y is None or (nonneg and np.any(y < 0.0)):
+        return None
+    lam_y = evaluate(G, y)
+    res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
+    if res_y > tol or sense * (lam_y - lam) < -1e-12 * max(1.0, abs(lam)):
+        return None
+    curv, v, z = _wrong_curvature(G, p, y, lam_y, sense)
+    if curv >= 0.0:
+        return y, lam_y, res_y, True
+    a = _z_exponent(p)
+    ref = lam_y if sense * (lam_y - lam) > 0 else lam
+    t = 1.0
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            best = None
+            for s in (t, -t):
+                trial = _signed_power(z + s * v, a)
+                if nonneg:
+                    trial = np.maximum(trial, 0.0)
+                nrm = lp_norm(trial, p)
+                if not 0.0 < nrm < math.inf:
+                    continue
+                trial = trial / nrm
+                lam_t = evaluate(G, trial)
+                if sense * (lam_t - ref) > 1e-14 * max(1.0, abs(ref)) and (
+                        best is None or sense * (lam_t - best[1]) > 0):
+                    best = (trial, lam_t)
+            if best is not None:
+                return best[0], best[1], math.nan, False
+            t *= 0.5
+    return None
+
+
+def _z_exponent(p: float) -> float:
+    """a in x = sign(z)|z|^a: z = x for p >= 2, the dual point for p < 2."""
+    return max(1.0, 1.0 / (p - 1.0))
+
+
+def _newton_stationary(G, p, x, lam, tol):
+    """Newton on lam*sign(x)|x|^(p-1) = grad/r, sum |x|^p = 1, from (x, lam).
+
+    The unknowns are lam and z with x = sign(z)|z|^a, a = max(1, 1/(p-1)):
+    z = x for p >= 2, and for p < 2 z is the dual point u = sign(x)|x|^(p-1),
+    in which the system stays well-conditioned as coordinates shrink and a
+    coordinate can cross zero.  Steps are capped at 0.5 in each coordinate of
+    z but not damped by the defect: near a soft minimum (curvature 1e-4 of
+    the largest) a defect line search takes tiny steps for as long as the
+    descent itself, and the caller's acceptance test guards the result.
+    Returns the point reached, scaled onto the unit sphere, or None when a
+    step is not finite.  Call under np.errstate: a long step may overflow.
+    """
+    n, r = G.n_vertices, G.rank
+    a = _z_exponent(p)
+    c, q = a * (p - 1.0), a * p     # sign(x)|x|^(p-1) = sign(z)|z|^c, |x|^p = |z|^q
+    z, mu = _signed_power(x, 1.0 / a), lam
+    for _ in range(_NEWTON_STEPS):
+        xz = _signed_power(z, a)
+        F = np.append(mu * _signed_power(z, c) - gradient(G, xz) / r,
+                      np.sum(np.abs(z) ** q) - 1.0)
+        if not np.all(np.isfinite(F)):
+            return None
+        if np.abs(F).max() <= 1e-3 * tol:
+            break
+        az = np.abs(z)
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = hessian(G, xz) * (-a / r * az ** (a - 1.0))
+        J[range(n), range(n)] += mu * c * az ** (c - 1.0)
+        J[:n, n] = _signed_power(z, c)
+        J[n, :n] = q * _signed_power(z, q - 1.0)
+        if not np.all(np.isfinite(J)):
+            return None
+        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        big = np.abs(step[:n]).max()
+        if big > _NEWTON_MAX_STEP:
+            step *= _NEWTON_MAX_STEP / big
+        z, mu = z + step[:n], mu + step[n]
+    xz = _signed_power(z, a)
+    nrm = lp_norm(xz, p)
+    if not 0.0 < nrm < math.inf:
+        return None
+    return xz / nrm
+
+
+def _wrong_curvature(G, p, x, lam, sense):
+    """The second-order test at a stationary unit vector x with value lam.
+
+    The Lagrangian Hessian H - r*lam*(p-1)*diag(|x|^(p-2)), projected onto
+    the tangent space {v : sign(x)|x|^(p-1) . v = 0}, must be semidefinite
+    with the sign of `sense`.  It is tested in the z of _newton_stationary,
+    as D L D with D = diag(dx/dz): congruent to it on the support, and
+    bounded where |x|^(p-2) is not.  Returns (curvature, v, z): curvature is
+    the most-wrong eigenvalue, negative when the test fails beyond roundoff,
+    and v its unit eigenvector in z.
+    """
+    a = _z_exponent(p)
+    z = _signed_power(x, 1.0 / a)
+    az = np.abs(z)
+    d = a * az ** (a - 1.0)
+    L = hessian(G, x) * np.outer(d, d)
+    L[np.diag_indices_from(L)] -= G.rank * lam * (p - 1.0) * a * a * az ** (a * p - 2.0)
+    nu = _signed_power(z, a * p - 1.0)
+    nu /= np.linalg.norm(nu)
+    proj = np.eye(x.size) - np.outer(nu, nu)
+    S = -sense * (proj @ L @ proj)
+    evals, evecs = np.linalg.eigh(S)
+    slack = 1e-7 * max(1.0, float(np.abs(S).max()))
+    return float(evals[0]) + slack, evecs[:, 0], z
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -330,6 +491,13 @@ def _refine_tied_simplex(cands, n, idx, w, sense, tol):
     return out
 
 
+def _sign_patterns(n: int, p: float) -> np.ndarray:
+    """Every nonzero -1/0/+1 vector of length n, scaled onto the l^p sphere."""
+    pats = np.array([v for v in np.ndindex((3,) * n)], dtype=np.float64) - 1.0
+    pats = pats[np.any(pats != 0.0, axis=1)]
+    return pats / (np.sum(np.abs(pats) ** p, axis=1) ** (1.0 / p))[:, None]
+
+
 def _random_simplex_points(rng, count, n):
     pts = []
     for _ in range(count):
@@ -365,6 +533,8 @@ def _max_starts(G, p, opts, extra):
 
 
 def _min_starts(G, p, opts, extra, flip_seed):
+    """Start vectors on the sphere: the flipped maximizer, warm, the best sign
+    pattern (n <= 6), one negated entry per edge, sign-randomized points."""
     n = G.n_vertices
     starts = []
     if flip_seed is not None:
@@ -373,6 +543,9 @@ def _min_starts(G, p, opts, extra, flip_seed):
         v = np.asarray(v, dtype=np.float64)
         if v.shape == (n,) and lp_norm(v, p) > 0:
             starts.append(normalize_lp(v, p))
+    if n <= _PATTERN_MAX_N:
+        pats = _sign_patterns(n, p)
+        starts.append(pats[int(np.argmin(evaluate_many(G, pats)))])
     n_structured = len(starts)
     for e in G.edges()[:_edge_start_budget(opts, n_structured, G.num_edges)]:
         x = np.zeros(n)
@@ -544,7 +717,7 @@ def _min_candidates_p1(G, opts, flip_seed):
     patterns = set()
     if flip_seed is not None:
         patterns.add(tuple(-1 if v < 0 else 1 for v in flip_seed))
-    if n <= 6:
+    if n <= _PATTERN_MAX_N:
         for bits in range(1 << (n - 1)):
             patterns.add((1,) + tuple(1 - 2 * (bits >> i & 1) for i in range(n - 1)))
     else:
@@ -631,10 +804,7 @@ def brute_force_lambda(G: WeightedHypergraph, p: float, target: str = "max",
     norms = np.sum(np.abs(X) ** p, axis=1) ** (1.0 / p)
     X /= norms[:, None]
     if n <= 8:
-        pats = np.array([v for v in np.ndindex((3,) * n)], dtype=np.float64) - 1.0
-        pats = pats[np.any(pats != 0.0, axis=1)]
-        pnorm = np.sum(np.abs(pats) ** p, axis=1) ** (1.0 / p)
-        X = np.vstack([X, pats / pnorm[:, None]])
+        X = np.vstack([X, _sign_patterns(n, p)])
     vals = evaluate_many(G, X)
     order = np.argsort(-sense * vals, kind="stable")
 

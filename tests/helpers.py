@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 import pspectral as ps
 
 
@@ -21,6 +23,28 @@ def random_graph(rng, r=None, n_lo=3, n_hi=7, density=None, weighted=False,
         if edges or not ensure_edges:
             return ps.WeightedHypergraph(r, n, edges)
         density = min(1.0, density + 0.2)
+
+
+def criterion7_draws(count: int) -> list[tuple[ps.WeightedHypergraph, float]]:
+    """The first `count` (graph, p) cases of acceptance criterion 7's pool.
+
+    The random calls replay the pool fixture's stream exactly, including the
+    edge-split mask it draws after each graph, so draw k here is case k there.
+    """
+    rng = np.random.default_rng(777)
+    draws = []
+    while len(draws) < count:
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(max(3, r), 7))
+        edges = [e for e in itertools.combinations(range(n), r)
+                 if rng.random() < rng.uniform(0.35, 0.85)]
+        if not edges:
+            continue
+        p = float(np.round(rng.uniform(r - 1 + 0.1, r + 2.3), 3))
+        rng.uniform(0.15, 1.2)          # the pool's second exponent q
+        rng.random(len(edges))          # the pool's edge-split mask
+        draws.append((ps.from_edge_list(r, n, edges), p))
+    return draws
 
 
 def fano() -> ps.WeightedHypergraph:

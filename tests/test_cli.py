@@ -95,6 +95,21 @@ def test_bounds_table(capsys, c4):
                for r in rows.values())
 
 
+def test_bounds_solves_the_maximum_once_at_odd_rank(capsys, tmp_path, monkeypatch):
+    from pspectral import cli, solver
+    path = tmp_path / "c37.json"
+    ps.write_file(ps.cycle(3, 7), path)
+    calls = []
+    real = solver.lambda_max
+    counting = lambda *a, **k: calls.append(a[1]) or real(*a, **k)
+    monkeypatch.setattr(cli, "lambda_max", counting)
+    monkeypatch.setattr(solver, "lambda_max", counting)
+    code, out, _ = run(capsys, ["bounds", "--input", str(path), "--p", "2", "--json"])
+    assert code != 1 and calls == [2.0]
+    rep = json.loads(out)
+    assert rep["results"]["lambda_min"] == -rep["results"]["lambda"]
+
+
 def test_check_properties(capsys, tmp_path, c4, k33):
     code, out, _ = run(capsys, ["check", "--input", c4, "--property", "connected"])
     assert code == 0 and out.splitlines()[0] == "true"

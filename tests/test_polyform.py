@@ -27,6 +27,21 @@ def fsum_gradient(G, x):
     return np.array([math.factorial(G.rank) * math.fsum(t) for t in terms])
 
 
+def fsum_hessian(G, x):
+    """Per-pair exactly rounded sums of the leave-two-out products."""
+    terms = {}
+    for e, w in G.edge_weights.items():
+        for i in e:
+            for j in e:
+                if i != j:
+                    prod = w * math.prod(float(x[u]) for u in e if u != i and u != j)
+                    terms.setdefault((i, j), []).append(prod)
+    H = np.zeros((G.n_vertices, G.n_vertices))
+    for (i, j), t in terms.items():
+        H[i, j] = math.factorial(G.rank) * math.fsum(t)
+    return H
+
+
 def test_single_edge_values():
     K = ps.single_edge(3)
     assert ps.evaluate(K, np.ones(3)) == pytest.approx(6.0)
@@ -64,8 +79,11 @@ def test_gradient_matches_finite_differences():
         assert np.max(np.abs(g - fd)) / scale < 1e-6
 
 
-@pytest.mark.parametrize("G", [ps.random_gnp(3, 40, 0.3, 1), ps.random_gnp(4, 25, 0.45, 7)],
-                         ids=["r3-m2941", "r4-m5721"])
+DENSE = [ps.random_gnp(3, 40, 0.3, 1), ps.random_gnp(4, 25, 0.45, 7)]
+DENSE_IDS = ["r3-m2941", "r4-m5721"]
+
+
+@pytest.mark.parametrize("G", DENSE, ids=DENSE_IDS)
 def test_gradient_matches_exact_sums_on_dense_graphs(G):
     x = np.random.default_rng(12).uniform(-1.0, 1.0, G.n_vertices)
     g = ps.gradient(G, x)
@@ -77,6 +95,31 @@ def test_gradient_is_bit_reproducible():
     G = ps.random_gnp(3, 40, 0.3, 1)
     x = np.random.default_rng(13).normal(size=G.n_vertices)
     assert ps.gradient(G, x).tobytes() == ps.gradient(G, x.copy()).tobytes()
+
+
+@pytest.mark.parametrize("G", DENSE, ids=DENSE_IDS)
+def test_hessian_matches_exact_sums_and_euler(G):
+    from pspectral.polyform import hessian
+    x = np.random.default_rng(15).uniform(-1.0, 1.0, G.n_vertices)
+    H = hessian(G, x)
+    assert np.array_equal(H, H.T)
+    assert not np.diag(H).any()
+    ref = fsum_hessian(G, x)
+    assert np.max(np.abs(H - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # Euler's identity for the degree-(r-1) gradient: H x = (r-1) grad
+    g = ps.gradient(G, x)
+    assert np.max(np.abs(H @ x - (G.rank - 1) * g)) <= 1e-12 * np.max(np.abs(g))
+    assert hessian(G, x).tobytes() == hessian(G, x.copy()).tobytes()
+
+
+def test_hessian_small_cases():
+    from pspectral.polyform import hessian
+    K = ps.single_edge(3)
+    assert hessian(K, np.array([1.0, 2.0, 3.0])).tolist() == [[0, 18, 12], [18, 0, 6],
+                                                              [12, 6, 0]]
+    assert not hessian(ps.WeightedHypergraph(3, 4, {}), np.ones(4)).any()
+    with pytest.raises(ValueError, match="shape"):
+        hessian(K, np.ones(2))
 
 
 def test_euler_identity_random():

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import pspectral as ps
-from helpers import FAST, TIGHT, random_graph
+from helpers import FAST, TIGHT, criterion7_draws, random_graph
 
 
 def test_single_edge_max_across_p():
@@ -98,6 +99,64 @@ def test_projected_gradient_mode_agrees():
     a = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=6, mode="projected-gradient"))
     b = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=6))
     assert a.value == pytest.approx(b.value, abs=1e-8)
+
+
+# even-rank minimum: sphere descent with the Newton polish --------------------
+
+POOL = ps.SolveOptions(tol=1e-9, restarts=4, seed=2024)
+EXAMPLE2 = ps.from_edge_list(2, 6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
+                                    (3, 4), (3, 5), (4, 5)])
+
+
+def test_example2_reaches_the_oracle_minimum_without_warnings():
+    # at p = 1.118 the minimizer has coordinates near 4e-4, where plain
+    # descent converges only linearly; the oracle finds -0.622850848
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ps.lambda_min(EXAMPLE2, 1.118, POOL)
+    assert res.value <= -0.622850848 + 1e-9
+    assert res.residual <= 1e-8
+    assert res.iterations < POOL.max_iter
+
+
+def test_cycle4_12_minimum_meets_tol():
+    opts = ps.SolveOptions(tol=1e-10, restarts=8, seed=2024)
+    # plain descent stopped at residual 4.5e-8: its Armijo rule cannot go lower
+    res = ps.lambda_min(ps.cycle(4, 12), 2.0, opts)
+    assert res.residual <= opts.tol
+
+
+def test_criterion7_minima_reach_their_best_sign_pattern():
+    from pspectral.solver import _sign_patterns
+    draws = criterion7_draws(34)
+    for k in (4, 18, 33):
+        G, p = draws[k]
+        best = float(ps.evaluate_many(G, _sign_patterns(G.n_vertices, p)).min())
+        res = ps.lambda_min(G, p, POOL)
+        assert res.value <= best + 1e-9 * max(1.0, abs(best)), k
+
+
+def test_dense_rank4_minimum_no_higher_than_before_the_polish():
+    # the value the descent alone returned with these options
+    res = ps.lambda_min(ps.random_gnp(4, 25, 0.45, 7), 4.0, POOL)
+    assert res.value <= -316.65374211888945
+
+
+def test_min_restarts_never_end_above_their_start():
+    from pspectral.solver import _min_starts
+    rng = np.random.default_rng(16)
+    cases = [(EXAMPLE2, 1.118)]
+    while len(cases) < 6:
+        G = random_graph(rng, r=int(rng.choice([2, 4])), n_lo=4, n_hi=7)
+        if ps.odd_transversal(G) is None:
+            cases.append((G, float(rng.uniform(1.1, G.rank + 1.0))))
+    for G, p in cases:
+        starts = _min_starts(G, p, POOL, [], None)
+        outs = ps.solve_restarts(G, p, "min", POOL)
+        assert len(outs) == len(starts)
+        for x0, (lam, _, _) in zip(starts, outs):
+            start = ps.evaluate(G, x0)
+            assert lam <= start + 1e-12 * max(1.0, abs(start))
 
 
 # residuals ------------------------------------------------------------------
