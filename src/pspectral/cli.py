@@ -20,7 +20,7 @@ import numpy as np
 from . import combinatorics as comb
 from . import hypergraph as hg
 from .bounds import bound_suite_max, bound_suite_min, structural_bounds
-from .solver import (SolveOptions, _odd_rank_min, brute_force_lambda, lambda_curve, lambda_max,
+from .solver import (SolveOptions, _lambda_min, brute_force_lambda, lambda_curve, lambda_max,
                      lambda_min)
 
 EXIT_OK = 0
@@ -45,13 +45,13 @@ def _fmt_vec(coords) -> list[str]:
     return [f"{v:.12g}" for v in coords]
 
 
-def _add_common(sp, need_input=True):
-    if need_input:
-        sp.add_argument("--input", required=True, help="graph file (JSON or text format)")
-    sp.add_argument("--p", type=float, default=None, help="sphere exponent, at least 1")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--restarts", type=int, default=None)
+def _add_common(sp, solve=True):
+    sp.add_argument("--input", required=True, help="graph file (JSON or text format)")
+    if solve:
+        sp.add_argument("--p", type=float, default=None, help="sphere exponent, at least 1")
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -140,8 +140,9 @@ def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
     try:
         top = lambda_max(G, p, opts)
-        # at odd rank the minimum is the flipped maximum: do not solve it again
-        bot = _odd_rank_min(G, top) if G.rank % 2 == 1 else lambda_min(G, p, opts)
+        # the minimum reuses this maximum at odd rank and as the flip seed of
+        # an odd transversal, instead of solving it again
+        bot = _lambda_min(G, top.p, opts, top=top)
         reports = (bound_suite_max(G, p, top.value)
                    + structural_bounds(G, p, top.value)
                    + bound_suite_min(G, p, bot.value, top.value))
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("check", help="run one combinatorial predicate")
-    _add_common(sp)
+    _add_common(sp, solve=False)
     sp.add_argument("--property", choices=PROPERTIES, required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.set_defaults(func=cmd_check)

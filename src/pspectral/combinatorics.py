@@ -20,6 +20,7 @@ from .hypergraph import WeightedHypergraph
 TIGHTNESS_BUDGET = 20     # exact subset enumeration bound for is_k_tight
 EXHAUSTIVE_BUDGET = 24    # subset enumeration bound for transversal search
 COLORING_BUDGET = 16      # exact chromatic / partiteness search bound
+STAR_BUDGET = 64          # edges through one vertex in the beta-degree search
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,11 @@ def _incident_edges(G: WeightedHypergraph) -> list[list[tuple[int, ...]]]:
 
 def _max_compatible_star(u: int, edges: list[tuple[int, ...]]) -> int:
     """Largest set of edges through u that pairwise intersect exactly in {u}."""
+    m = len(edges)
+    if m > STAR_BUDGET:
+        raise ValueError(f"exact beta-degree search exceeds budget "
+                         f"({m} edges through vertex {u} > {STAR_BUDGET})")
     others = [frozenset(e) - {u} for e in edges]
-    m = len(others)
     compat = [0] * m
     for i in range(m):
         for j in range(i + 1, m):

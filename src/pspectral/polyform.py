@@ -138,8 +138,9 @@ def hessian(G: WeightedHypergraph, x: np.ndarray) -> np.ndarray:
 def evaluate_many(G: WeightedHypergraph, X: np.ndarray) -> np.ndarray:
     """Polynomial values for a batch of row vectors (plain numpy accumulation).
 
-    This is the sampling-oracle path and deliberately shares no accumulation
-    code with evaluate().
+    The sampling oracle scores its samples and every step of its polish with
+    this function alone, so it shares no accumulation code with evaluate()
+    (math.fsum) or with the solvers' gradient (np.bincount).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != G.n_vertices:

@@ -58,6 +58,12 @@ _NEWTON_GATE = 1e-2
 _NEWTON_AFTER = 500
 _NEWTON_STEPS = 50
 _NEWTON_MAX_STEP = 0.5
+# brute_force_lambda's compass-search polish (see its docstring)
+_POLISH_ROWS = 100
+_POLISH_STEP = 0.25
+_POLISH_MIN_STEP = 1e-9
+_POLISH_ITERS = 200
+_POLISH_GAIN_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -679,11 +685,17 @@ def _odd_rank_min(G, top: EigenResult) -> EigenResult:
                        top.iterations, 1, top.status, top.p, "min")
 
 
-def _min_candidates(G, p, opts, extra):
-    """Candidates for the minimum; also returns the certification flag."""
+def _min_candidates(G, p, opts, extra, top=None):
+    """Candidates for the minimum; also returns the certification flag.
+
+    `top` is the caller's solved maximum, if any; without it the maximum is
+    solved here where the minimum needs it (odd rank, or an odd transversal).
+    """
     r = G.rank
     if r % 2 == 1:
-        bot = _odd_rank_min(G, lambda_max(G, p, opts, initial_vectors=extra))
+        if top is None:
+            top = lambda_max(G, p, opts, initial_vectors=extra)
+        bot = _odd_rank_min(G, top)
         ok = bot.status == "converged"
         return [_Cand(bot.vector.coords, bot.value, bot.residual, bot.iterations, ok)], ok
     ot = odd_transversal(G)
@@ -691,7 +703,8 @@ def _min_candidates(G, p, opts, extra):
     certified = False
     extra = list(extra)
     if ot is not None:
-        top = lambda_max(G, p, opts)
+        if top is None:
+            top = lambda_max(G, p, opts)
         flipped = top.vector.coords.copy()
         flipped[list(ot)] = -flipped[list(ot)]
         flip_seed = flipped
@@ -760,13 +773,16 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
     descent; an odd transversal of the support certifies the optimum as the
     negated maximum.
     """
-    p = check_exponent(p)
-    opts = opts or SolveOptions()
+    return _lambda_min(G, check_exponent(p), opts or SolveOptions(), initial_vectors)
+
+
+def _lambda_min(G, p, opts, extra=(), top=None) -> EigenResult:
+    """lambda_min for a checked p.  `top` is the caller's solved maximum, if
+    any; it is used where the minimum needs the maximum instead of solving it
+    again (see _min_candidates)."""
     if G.n_vertices == 0 or G.num_edges == 0:
         return _zero_result(G, p, "min")
-    if G.rank % 2 == 1:
-        return _odd_rank_min(G, lambda_max(G, p, opts, initial_vectors))
-    cands, certified = _min_candidates(G, p, opts, initial_vectors)
+    cands, certified = _min_candidates(G, p, opts, extra, top)
     win = _pick(cands, -1.0, opts.tol)
     status = "converged" if (win.tol_met and certified) else "best-effort"
     return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
@@ -781,14 +797,18 @@ def brute_force_lambda(G: WeightedHypergraph, p: float, target: str = "max",
                        samples: int = 10_000, seed: int = 0) -> float:
     """Independent sampling-plus-polish estimate of the extremal value.
 
-    Draws sign-symmetric points on the l^p sphere, adds every -1/0/+1
-    support pattern (small n), then locally polishes the best 100 points
-    with a derivative-free method applied to the normalized objective.
-    The result is a one-sided certificate: a lower bound for the maximum,
-    an upper bound for the minimum.
+    Draws `samples` sign-symmetric points on the l^p sphere and adds every
+    -1/0/+1 pattern for n <= 8; the best _POLISH_ROWS of them are then
+    polished together by a compass search (Kolda, Lewis & Torczon, SIAM
+    Review 45, 2003).  Each iteration moves every live row by +-step along
+    each coordinate, projects the 2n trial points back onto the sphere and
+    scores all of them with one evaluate_many call; a row moves to its best
+    trial when that gains more than a few ulps, and otherwise halves its
+    step, until the step falls below _POLISH_MIN_STEP or _POLISH_ITERS runs
+    out.  Every value is attained at a point on the sphere, so the result is
+    a one-sided certificate: a lower bound for the maximum, an upper bound
+    for the minimum.
     """
-    from scipy.optimize import minimize
-
     p = check_exponent(p)
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
@@ -805,21 +825,34 @@ def brute_force_lambda(G: WeightedHypergraph, p: float, target: str = "max",
     X /= norms[:, None]
     if n <= 8:
         X = np.vstack([X, _sign_patterns(n, p)])
-    vals = evaluate_many(G, X)
-    order = np.argsort(-sense * vals, kind="stable")
+    vals = sense * evaluate_many(G, X)
+    keep = np.argsort(-vals, kind="stable")[:_POLISH_ROWS]
+    return sense * float(_compass_polish(G, p, sense, X[keep], vals[keep]).max())
 
-    def objective(z):
-        nrm = lp_norm(z, p)
-        if nrm == 0.0:
-            return 0.0
-        return -sense * evaluate(G, z / nrm)
 
-    best = float(sense * vals[order[0]])
-    for i in order[:100]:
-        out = minimize(objective, X[i], method="Powell",
-                       options={"maxiter": 10, "xtol": 1e-10, "ftol": 1e-12})
-        best = max(best, -float(out.fun))
-    return sense * best
+def _compass_polish(G, p, sense, Z, f):
+    """Compass search maximizing sense * P from every row of Z (on the l^p
+    sphere, with values f) at once; returns each row's final value."""
+    n = Z.shape[1]
+    Z, f = Z.copy(), f.copy()
+    moves = np.vstack([np.eye(n), -np.eye(n)])                  # (2n, n)
+    step = np.full(len(f), _POLISH_STEP)
+    for _ in range(_POLISH_ITERS):
+        live = np.flatnonzero(step >= _POLISH_MIN_STEP)
+        if live.size == 0:
+            break
+        # every row has unit norm and every step is below 1: no trial is 0
+        T = Z[live, None, :] + step[live, None, None] * moves  # (k, 2n, n)
+        T /= (np.sum(np.abs(T) ** p, axis=2) ** (1.0 / p))[:, :, None]
+        tv = sense * evaluate_many(G, T.reshape(-1, n)).reshape(live.size, 2 * n)
+        j = np.argmax(tv, axis=1)
+        gain = tv[np.arange(live.size), j] - f[live]
+        move = gain > _POLISH_GAIN_ULPS * np.finfo(float).eps * np.maximum(1.0, np.abs(f[live]))
+        rows = live[move]
+        Z[rows] = T[move, j[move]]
+        f[rows] = tv[move, j[move]]
+        step[live[~move]] *= 0.5
+    return f
 
 
 # ---------------------------------------------------------------------------

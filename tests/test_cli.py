@@ -110,6 +110,21 @@ def test_bounds_solves_the_maximum_once_at_odd_rank(capsys, tmp_path, monkeypatc
     assert rep["results"]["lambda_min"] == -rep["results"]["lambda"]
 
 
+def test_bounds_solves_the_maximum_once_with_an_odd_transversal(capsys, c4, monkeypatch):
+    from pspectral import cli, solver
+    assert ps.odd_transversal(ps.cycle(2, 4)) is not None
+    calls = []
+    real = solver.lambda_max
+    counting = lambda *a, **k: calls.append(a[1]) or real(*a, **k)
+    monkeypatch.setattr(cli, "lambda_max", counting)
+    monkeypatch.setattr(solver, "lambda_max", counting)
+    code, out, _ = run(capsys, ["bounds", "--input", c4, "--p", "2", "--json"])
+    assert code == 0 and calls == [2.0]
+    monkeypatch.undo()
+    rep = json.loads(out)
+    assert rep["results"]["lambda_min"] == ps.lambda_min(ps.cycle(2, 4), 2.0).value
+
+
 def test_check_properties(capsys, tmp_path, c4, k33):
     code, out, _ = run(capsys, ["check", "--input", c4, "--property", "connected"])
     assert code == 0 and out.splitlines()[0] == "true"
@@ -130,6 +145,16 @@ def test_check_properties(capsys, tmp_path, c4, k33):
     assert code == 0 and "chromatic_number = 2" in out
     code, _, _ = run(capsys, ["check", "--input", c4, "--property", "k-linear"])
     assert code == 1  # --k required
+
+
+def test_check_takes_no_solver_flags(capsys, c4):
+    code, out, _ = run(capsys, ["check", "--input", c4, "--property", "connected", "--json"])
+    assert code == 0
+    assert json.loads(out)["args"] == {"cmd": "check", "input": c4, "property": "connected"}
+    for flag, value in (("--p", "2"), ("--seed", "1"), ("--tol", "1e-9"), ("--restarts", "4")):
+        code, _, _ = run(capsys, ["check", "--input", c4, "--property", "connected",
+                                  flag, value])
+        assert code == 1
 
 
 def test_curve_csv(capsys, k33):

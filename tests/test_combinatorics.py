@@ -42,6 +42,16 @@ def test_beta_degree_overlapping_edges():
     assert prof.beta_degrees[0] == 1
 
 
+def test_beta_degree_budget():
+    from pspectral.combinatorics import STAR_BUDGET
+    at_budget = ps.complete(2, STAR_BUDGET + 1)  # STAR_BUDGET edges through each vertex
+    assert ps.degree_profile(at_budget).Delta_beta == STAR_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        ps.degree_profile(ps.complete(2, STAR_BUDGET + 2))
+    assert ps.degree_profile(ps.complete(2, STAR_BUDGET + 2), with_beta=False).Delta \
+        == STAR_BUDGET + 1
+
+
 def test_components():
     assert len(ps.components(ps.cycle(3, 5))) == 1
     two = ps.disjoint_union(ps.complete(3, 3), ps.complete(3, 3))

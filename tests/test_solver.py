@@ -226,6 +226,56 @@ def test_oracle_is_one_sided():
         assert bmn >= mn - 1e-9
 
 
+def test_oracle_polish_uses_only_the_batch_kernel(monkeypatch):
+    import scipy.optimize
+    from pspectral import polyform, solver
+    calls = []
+    for mod, name in ((scipy.optimize, "minimize"), (polyform, "evaluate"),
+                      (solver, "evaluate")):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    ps.brute_force_lambda(ps.cycle(2, 4), 2.0, "min", 2000, 0)
+    ps.brute_force_lambda(ps.complete(3, 4), 1.0, "max", 2000, 0)
+    assert calls == []
+
+
+def test_oracle_same_seed_bit_identical():
+    G = ps.random_gnp(3, 6, 0.5, 2)
+    for p, target in ((1.0, "max"), (2.5, "min")):
+        a = ps.brute_force_lambda(G, p, target, 3000, 11)
+        b = ps.brute_force_lambda(G, p, target, 3000, 11)
+        assert a == b
+
+
+def test_oracle_closed_forms_to_1e9():
+    val = ps.brute_force_lambda(ps.single_edge(3), 2.0, "max", 20_000, 0)
+    assert val == pytest.approx(6 / 3 ** 1.5, abs=1e-9)
+    val = ps.brute_force_lambda(ps.single_edge(4), 4.0, "min", 20_000, 0)
+    assert val == pytest.approx(-6.0, abs=1e-9)
+    val = ps.brute_force_lambda(ps.cycle(2, 4), 2.0, "min", 20_000, 0)
+    assert val == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_oracle_p1_matching_ends_within_the_budget(monkeypatch):
+    from pspectral import solver
+    batches = []
+    real = solver.evaluate_many
+    monkeypatch.setattr(solver, "evaluate_many",
+                        lambda G, X: batches.append(len(X)) or real(G, X))
+    G = ps.from_edge_list(2, 4, [(0, 1), (2, 3)])
+    for target, expected in (("max", 0.5), ("min", -0.5)):
+        batches.clear()
+        val = ps.brute_force_lambda(G, 1.0, target, 10_000, 17)
+        assert val == pytest.approx(expected, abs=1e-12)
+        assert len(batches) <= 1 + solver._POLISH_ITERS  # the samples, then the polish
+
+
+def test_oracle_matches_example2_minimum():
+    val = ps.brute_force_lambda(EXAMPLE2, 1.118, "min", 10_000, 17)
+    assert abs(val - (-0.6228508481478688)) <= 1e-9
+
+
 # envelopes, curves, modulus --------------------------------------------------
 
 def test_collatz_wielandt_regular_uniform():
