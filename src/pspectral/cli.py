@@ -45,11 +45,13 @@ def _fmt_vec(coords) -> list[str]:
     return [f"{v:.12g}" for v in coords]
 
 
-def _add_common(sp, solve=True):
+def _add_common(sp, sphere=True, solve=True):
+    """--input, --json; --p, --seed with `sphere`; --tol, --restarts with `solve`."""
     sp.add_argument("--input", required=True, help="graph file (JSON or text format)")
-    if solve:
+    if sphere:
         sp.add_argument("--p", type=float, default=None, help="sphere exponent, at least 1")
         sp.add_argument("--seed", type=int, default=0)
+    if solve:
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--json", action="store_true", help="machine-readable output")
@@ -338,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("check", help="run one combinatorial predicate")
-    _add_common(sp, solve=False)
+    _add_common(sp, sphere=False, solve=False)
     sp.add_argument("--property", choices=PROPERTIES, required=True)
     sp.add_argument("--k", type=int, default=None)
     sp.set_defaults(func=cmd_check)
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("oracle", help="sampling-plus-polish estimate (small graphs)")
-    _add_common(sp)
+    _add_common(sp, solve=False)
     sp.add_argument("--target", choices=("max", "min"), default="max")
     sp.add_argument("--samples", type=int, default=10_000)
     sp.set_defaults(func=cmd_oracle)

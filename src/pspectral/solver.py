@@ -9,14 +9,16 @@ Algorithm map
     degree.  Restarts from the uniform point, warm vectors, per-edge
     indicators, and random simplex points; the best value wins.
   target max, p = 1: projected gradient ascent on the standard simplex
-    (the sphere quadrant in l^1) from the same starts.  No stationarity
+    (the sphere quadrant in l^1) from the same starts; Newton on the KKT
+    system of the face it ends on polishes the best ones.  No stationarity
     residual is defined at p = 1.
   target min, odd rank: the negated maximizer, with signs flipped on an odd
     transversal of the support when one exists.
   target min, even rank: `_sphere_loop` on the full sphere, stepping by
     projected gradient descent, from sign-randomized restarts plus the best
-    -1/0/+1 sign pattern for n <= 6; when the support has an odd transversal
-    the sign-flipped maximizer is an additional seed and attains the optimum.
+    -1/0/+1 sign pattern for n <= 6 (at p = 1, the simplex method in each
+    sign orthant); when the support has an odd transversal the sign-flipped
+    maximizer is an additional seed and attains the optimum.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
     iterations; once an iterate's relative residual is at most 1e-2 (or after
     500 iterations) Newton on the stationarity system polishes it, in the
@@ -322,48 +324,67 @@ def _newton_polish(G, p, x, lam, tol, sense, nonneg):
 
 
 def _z_exponent(p: float) -> float:
-    """a in x = sign(z)|z|^a: z = x for p >= 2, the dual point for p < 2."""
-    return max(1.0, 1.0 / (p - 1.0))
+    """a in x = sign(z)|z|^a: z = x for p = 1 and p >= 2, the dual point for
+    1 < p < 2."""
+    return 1.0 if p == 1.0 else max(1.0, 1.0 / (p - 1.0))
 
 
 def _newton_stationary(G, p, x, lam, tol):
     """Newton on lam*sign(x)|x|^(p-1) = grad/r, sum |x|^p = 1, from (x, lam).
 
-    The unknowns are lam and z with x = sign(z)|z|^a, a = max(1, 1/(p-1)):
+    The unknowns are lam and z with x = sign(z)|z|^a, a = `_z_exponent(p)`:
     z = x for p >= 2, and for p < 2 z is the dual point u = sign(x)|x|^(p-1),
     in which the system stays well-conditioned as coordinates shrink and a
     coordinate can cross zero.  Steps are capped at 0.5 in each coordinate of
     z but not damped by the defect: near a soft minimum (curvature 1e-4 of
     the largest) a defect line search takes tiny steps for as long as the
     descent itself, and the caller's acceptance test guards the result.
+    At p = 1 (z = x) it is the KKT system of the face of the l^1 sphere that
+    x lies on, in lam and the support S of x only; a step that would zero or
+    flip a coordinate of S stops there and drops it, so x stays on the face.
     Returns the point reached, scaled onto the unit sphere, or None when a
     step is not finite.  Call under np.errstate: a long step may overflow.
     """
-    n, r = G.n_vertices, G.rank
+    r = G.rank
     a = _z_exponent(p)
     c, q = a * (p - 1.0), a * p     # sign(x)|x|^(p-1) = sign(z)|z|^c, |x|^p = |z|^q
     z, mu = _signed_power(x, 1.0 / a), lam
+    face = p == 1.0
+    S = np.flatnonzero(x) if face else np.arange(x.size)
+    sgn = np.sign(x)
     for _ in range(_NEWTON_STEPS):
         xz = _signed_power(z, a)
-        F = np.append(mu * _signed_power(z, c) - gradient(G, xz) / r,
-                      np.sum(np.abs(z) ** q) - 1.0)
+        zS = z[S]
+        F = np.append(mu * _signed_power(zS, c) - gradient(G, xz)[S] / r,
+                      np.sum(np.abs(zS) ** q) - 1.0)
         if not np.all(np.isfinite(F)):
             return None
         if np.abs(F).max() <= 1e-3 * tol:
             break
-        az = np.abs(z)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = hessian(G, xz) * (-a / r * az ** (a - 1.0))
-        J[range(n), range(n)] += mu * c * az ** (c - 1.0)
-        J[:n, n] = _signed_power(z, c)
-        J[n, :n] = q * _signed_power(z, q - 1.0)
+        k = S.size
+        az = np.abs(zS)
+        J = np.zeros((k + 1, k + 1))
+        J[:k, :k] = hessian(G, xz)[np.ix_(S, S)] * (-a / r * az ** (a - 1.0))
+        J[range(k), range(k)] += mu * c * az ** (c - 1.0)
+        J[:k, k] = _signed_power(zS, c)
+        J[k, :k] = q * _signed_power(zS, q - 1.0)
         if not np.all(np.isfinite(J)):
             return None
         step = np.linalg.lstsq(J, -F, rcond=None)[0]
-        big = np.abs(step[:n]).max()
+        big = np.abs(step[:k]).max()
         if big > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / big
-        z, mu = z + step[:n], mu + step[n]
+        if face:
+            # stop where the first coordinate of S reaches zero
+            t = np.where(sgn[S] * step[:k] < 0.0, zS / -step[:k], np.inf)
+            j = int(np.argmin(t))
+            if t[j] < 1.0:
+                step *= t[j]
+                step[j] = -zS[j]
+        z[S], mu = zS + step[:k], mu + step[k]
+        if face:
+            z[sgn * z <= 0.0] = 0.0
+            S = np.flatnonzero(z)
     xz = _signed_power(z, a)
     nrm = lp_norm(xz, p)
     if not 0.0 < nrm < math.inf:
@@ -450,35 +471,21 @@ def _pgd_simplex(n, idx, w, y0, tol, max_iter, sense) -> _Cand:
 # restart orchestration
 # ---------------------------------------------------------------------------
 
-def _slsqp_simplex_refine(n, idx, w, y0, sense) -> _Cand | None:
-    """Quadratic-rate cleanup of a simplex solution; the first-order method
-    leaves entry errors near the square root of the value tolerance."""
-    from scipy.optimize import minimize
-
-    out = minimize(lambda y: -sense * _simplex_value(idx, w, y), y0,
-                   jac=lambda y: -sense * _loo_gradient(idx, w, y, n),
-                   method="SLSQP", bounds=[(0.0, 1.0)] * n,
-                   constraints=[{"type": "eq", "fun": lambda y: y.sum() - 1.0,
-                                 "jac": lambda y: np.ones(n)}],
-                   options={"maxiter": 300, "ftol": 1e-14})
-    y = np.maximum(out.x, 0.0)
-    s = y.sum()
-    if s <= 0:
-        return None
-    y = y / s
-    return _Cand(y, _simplex_value(idx, w, y), math.nan, 0, True)
-
-
-def _refine_tied_simplex(cands, n, idx, w, sense, tol):
-    """Replace every value-tied candidate by its quadratic-rate refinement."""
+def _refine_tied_simplex(G, cands, sense, tol):
+    """Replace every value-tied p = 1 candidate by the Newton point on its
+    face (`_newton_stationary`) when that is no worse (1e-12 relative): the
+    first-order method leaves entry errors near the root of the tolerance."""
     best = max(sense * c.lam for c in cands)
     out = []
     for c in cands:
         if sense * c.lam >= best - tol:
-            refined = _slsqp_simplex_refine(n, idx, w, np.abs(c.x), sense)
-            if refined is not None and sense * refined.lam >= sense * c.lam - 1e-12:
-                out.append(_Cand(refined.x, refined.lam, math.nan, c.iters, True))
-                continue
+            with np.errstate(all="ignore"):
+                y = _newton_stationary(G, 1.0, c.x, c.lam, tol)
+            if y is not None:
+                lam_y = evaluate(G, y)
+                if sense * (lam_y - c.lam) >= -1e-12 * max(1.0, abs(c.lam)):
+                    out.append(_Cand(y, lam_y, math.nan, c.iters, True))
+                    continue
         out.append(c)
     return out
 
@@ -611,7 +618,7 @@ def _max_candidates(G, p, opts, extra) -> list[_Cand]:
         idx, w = G.arrays()
         n = G.n_vertices
         cands = [_pgd_simplex(n, idx, w, y0, opts.tol, opts.max_iter, +1.0) for y0 in starts]
-        return _refine_tied_simplex(cands, n, idx, w, +1.0, opts.tol)
+        return _refine_tied_simplex(G, cands, +1.0, opts.tol)
     if opts.mode == "projected-gradient":
         step = _armijo_step
     else:
@@ -688,7 +695,7 @@ def _min_candidates_p1(G, opts, flip_seed):
             s[e[0]] = -1
             patterns.add(tuple(s))
     rng2 = np.random.default_rng(np.random.SeedSequence([opts.seed, 3]))
-    raw = []
+    cands = []
     for s in sorted(patterns):
         sv = np.array(s, dtype=np.float64)
         sw = w * np.prod(sv[idx], axis=1)
@@ -697,18 +704,8 @@ def _min_candidates_p1(G, opts, flip_seed):
             starts.insert(0, np.abs(flip_seed) / np.abs(flip_seed).sum())
         for y0 in starts:
             c = _pgd_simplex(n, idx, sw, y0, opts.tol, opts.max_iter, -1.0)
-            raw.append((c, sv, sw))
-    best = min(c.lam for c, _, _ in raw)
-    cands = []
-    for c, sv, sw in raw:
-        if c.lam <= best + opts.tol:
-            refined = _slsqp_simplex_refine(n, idx, sw, c.x, -1.0)
-            if refined is not None and refined.lam <= c.lam + 1e-12:
-                cands.append(_Cand(sv * refined.x, refined.lam, math.nan,
-                                   c.iters, True))
-                continue
-        cands.append(_Cand(sv * c.x, c.lam, math.nan, c.iters, c.tol_met))
-    return cands
+            cands.append(_Cand(sv * c.x, c.lam, math.nan, c.iters, c.tol_met))
+    return _refine_tied_simplex(G, cands, -1.0, opts.tol)
 
 
 def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,

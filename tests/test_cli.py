@@ -155,6 +155,14 @@ def test_check_takes_no_solver_flags(capsys, c4):
         code, _, _ = run(capsys, ["check", "--input", c4, "--property", "connected",
                                   flag, value])
         assert code == 1
+    # the oracle samples with --p and --seed and never solves
+    code, out, _ = run(capsys, ["oracle", "--input", c4, "--samples", "200", "--json"])
+    assert code == 0
+    assert json.loads(out)["args"] == {"cmd": "oracle", "input": c4, "samples": 200,
+                                       "seed": 0, "target": "max"}
+    for flag, value in (("--tol", "1e-9"), ("--restarts", "4")):
+        code, _, _ = run(capsys, ["oracle", "--input", c4, "--samples", "200", flag, value])
+        assert code == 1
 
 
 def test_curve_csv(capsys, k33):
