@@ -3,10 +3,11 @@ its Hessian.
 
 For a rank-r graph the polynomial is r! * sum over edges of weight times the
 product of the edge's coordinates.  The value is summed exactly (math.fsum),
-since it is the reported number; the gradient adds its leave-one-out
-products per vertex, and the Hessian its leave-two-out products per vertex
-pair, with np.bincount in the fixed edge order: reproducible bit for bit,
-with an error of a few ulps of the largest component.
+since it is the reported number (the solvers' iterations take theirs from the
+gradient by the Euler identity x . grad / r); the gradient adds its
+leave-one-out products per vertex, and the Hessian its leave-two-out products
+per vertex pair, with np.bincount in the fixed edge order: reproducible bit
+for bit, with an error of a few ulps of the largest component.
 """
 
 from __future__ import annotations

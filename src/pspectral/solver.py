@@ -20,12 +20,14 @@ Algorithm map
     sign orthant); when the support has an odd transversal the sign-flipped
     maximizer is an additional seed and attains the optimum.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
-    iterations; once an iterate's relative residual is at most 1e-2 (or after
-    500 iterations) Newton on the stationarity system polishes it, in the
-    dual point u = sign(x)|x|^(p-1) for p < 2.  A Newton point ends the
-    restart when it meets tol, is no worse than the iterate and the tangent
-    Lagrangian Hessian has the sign of the target; on a saddle a step along
-    the most-wrong curvature resumes the iteration.
+    iterations; both steps cost one gradient per iterate or trial, its value
+    taken by the Euler identity x . grad / r.  Once an iterate's relative
+    residual is at most 1e-2 (or after 500 iterations) Newton on the
+    stationarity system polishes it, at the first such iterate of each chunk
+    and at the chunk's end, in the dual point u = sign(x)|x|^(p-1) for p < 2.
+    A Newton point ends the restart when it meets tol, is no worse than the
+    iterate and the tangent Lagrangian Hessian has the sign of the target; on
+    a saddle a step along the most-wrong curvature resumes the iteration.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort"; "converged"
@@ -182,7 +184,8 @@ class _Cand:
 
 def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
     """One retracted step along the projected gradient, halving eta until the
-    value improves; returns (x, lam, eta) or None when no step improves."""
+    value, by the Euler identity at the trial's gradient, improves; returns
+    (x, lam, eta, g) or None when no step improves."""
     normal = _signed_power(x, p - 1.0)
     nn = float(normal @ normal)
     d = g - (float(g @ normal) / nn) * normal if nn > 0 else g
@@ -195,11 +198,12 @@ def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
         nrm = lp_norm(trial, p)
         if nrm > 0.0:
             trial = trial / nrm
-            lam_t = evaluate(G, trial)
+            g_t = gradient(G, trial)
+            lam_t = float(trial @ g_t) / G.rank
             # require progress above the float-noise floor, else the
             # iteration churns at a stationary point
             if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
-                return trial, lam_t, 1.5 * eta if k == 0 else eta
+                return trial, lam_t, 1.5 * eta if k == 0 else eta, g_t
         eta *= 0.5
     return None
 
@@ -207,43 +211,45 @@ def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
 def _fixed_point_step(rho):
     """The shifted fixed-point map (SS-HOPM: Kolda & Mayo, SIMAX 32, 2011) as
     a step of `_sphere_loop`; isotone for rho at least `default_shift`.  It
-    returns no value: the loop takes it from the Euler identity x . grad / r."""
+    returns no value or gradient: the loop takes them at the new point."""
     def step(G, p, x, lam, g, eta, sense, nonneg):
         s = g / G.rank + rho * x ** (p - 1.0)
         top = s.max()
         if top <= 0.0:
             return None
-        return normalize_lp((s / top) ** (1.0 / (p - 1.0)), p), None, eta
+        return normalize_lp((s / top) ** (1.0 / (p - 1.0)), p), None, eta, None
     return step
 
 
 def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
     """One restart of either extremum: the first-order `step` run in chunks
     of 20, 40, 80, ... (at most 5000) iterations and polished by
-    `_newton_polish` after each chunk or when the step stops short of tol,
-    once the relative residual is at most 1e-2 or the restart has run 500
-    iterations.  A polished point that meets tol ends the restart; a step off
-    a saddle resumes the iteration.
+    `_newton_polish` once the relative residual is at most 1e-2 or the
+    restart has run 500 iterations: at the first such iteration of each
+    chunk, at the chunk's end, and when the step stops short of tol.  A
+    polished point that meets tol ends the restart; a step off a saddle
+    resumes the iteration; a failed try waits for the next chunk.
 
-    `step(G, p, x, lam, g, eta, sense, nonneg)` returns (x, lam, eta), or None
-    when it makes no progress; a lam of None is taken from the Euler identity
-    at the next gradient.  The value reported is `evaluate` at the last x.
+    `step(G, p, x, lam, g, eta, sense, nonneg)` returns (x, lam, eta, g), or
+    None when it makes no progress; a lam or g of None is taken at the new x,
+    lam from the Euler identity x . grad / r.  The value reported is
+    `evaluate` at the last x.
     """
     x = np.asarray(x0, dtype=np.float64)
     if nonneg:
         x = np.maximum(x, 0.0)
     x = normalize_lp(x, p)
-    eta = None
-    lam_prev = None
+    eta = g = lam = lam_prev = None
     stable = 0
     stalled = 0
     it = 0
-    lam = evaluate(G, x)
     res = math.inf
     met = False
+    armed = True
     chunk = check_at = _FIRST_CHUNK
     for it in range(1, max_iter + 1):
-        g = gradient(G, x)
+        if g is None:
+            g = gradient(G, x)
         if lam is None:
             lam = float(x @ g) / G.rank
         res = _residual_from_grad(G.rank, p, lam, x, g)
@@ -254,25 +260,28 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
         moved = None
         if stalled < 5 * _STABLE_ITERS:
             moved = step(G, p, x, lam, g, eta, sense, nonneg)
-        polish = moved is None or it == check_at or it == max_iter
+        polish = res > tol and (res <= _NEWTON_GATE * max(1.0, abs(lam))
+                                or it >= _NEWTON_AFTER) and (
+            armed or moved is None or it == check_at or it == max_iter)
+        # a try at a chunk's end is the next chunk's try
+        armed = not polish and (armed or it == check_at)
         if it == check_at:
             chunk = min(2 * chunk, _MAX_CHUNK)
             check_at += chunk
-        if polish and res > tol and (res <= _NEWTON_GATE * max(1.0, abs(lam))
-                                     or it >= _NEWTON_AFTER):
+        if polish:
             polished = _newton_polish(G, p, x, lam, tol, sense, nonneg)
             if polished is not None:
                 x, lam, res_y, met = polished
                 if met:
                     res = res_y
                     break
-                eta, lam_prev, stable, stalled = None, None, 0, 0
+                eta, g, lam_prev, stable, stalled = None, None, None, 0, 0
                 continue
         if moved is None:
             met = res <= tol
             break
         lam_prev = lam
-        x, lam, eta = moved
+        x, lam, eta, g = moved
     else:
         res = _residual_from_grad(G.rank, p, evaluate(G, x), x, gradient(G, x))
     return _Cand(x, evaluate(G, x), res, it, met)
