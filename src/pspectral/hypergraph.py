@@ -12,6 +12,7 @@ import bisect
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -23,11 +24,22 @@ Edge = tuple[int, ...]
 JOIN_KINDS = ("k1", "t-k1", "k-t-t")
 
 
+def _as_int(v, what: str) -> int:
+    """v as an int; floats, strings and other non-integers are refused, not cut."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+
+
 def _normalize_edge(verts: Sequence[int], rank: int, n: int) -> Edge:
     if type(verts) is tuple and set(map(type, verts)) == {int} and verts == tuple(sorted(verts)):
         edge = verts  # already canonical: share the caller's tuple
     else:
-        edge = tuple(sorted(map(int, verts)))
+        try:
+            edge = tuple(sorted(map(operator.index, verts)))
+        except TypeError:
+            raise ValueError(f"edge {verts!r} must list integer vertex ids") from None
     if len(edge) != rank:
         raise ValueError(f"edge {verts!r} has {len(edge)} vertices, rank is {rank}")
     if len(set(edge)) != rank:
@@ -49,8 +61,8 @@ class WeightedHypergraph:
 
     def __init__(self, rank: int, n_vertices: int,
                  edges: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]] = ()):
-        rank = int(rank)
-        n_vertices = int(n_vertices)
+        rank = _as_int(rank, "rank")
+        n_vertices = _as_int(n_vertices, "vertex count")
         if rank < 2:
             raise ValueError(f"rank must be at least 2, got {rank}")
         if n_vertices < 0:
@@ -60,6 +72,8 @@ class WeightedHypergraph:
         for verts, w in items:
             edge = _normalize_edge(verts, rank, n_vertices)
             w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"edge {edge} has non-finite weight {w}")
             if w < 0.0:
                 raise ValueError(f"edge {edge} has negative weight {w}")
             if edge in store:

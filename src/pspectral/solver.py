@@ -3,22 +3,26 @@ l^p unit sphere, with certified stationarity residuals, a sampling oracle,
 and Collatz-Wielandt style envelopes.
 
 Algorithm map
+  Each target builds its starts (`_max_starts`, `_min_starts`) and runs each
+  through `_run_start`.
+  p = 1: the simplex method in the start's sign orthant, where the l^1
+    sphere is a simplex and each weight takes the sign of its edge's
+    coordinates; Newton on the KKT system of the face it ends on polishes
+    the value-tied candidates.  The maximum starts in the nonnegative
+    orthant, the even-rank minimum in every orthant up to global sign for
+    n <= 6 and in random ones beyond.  No residual is defined at p = 1.
   target max, p > 1: `_sphere_loop` on the nonnegative part of the sphere,
     stepping by the shifted fixed-point map (SS-HOPM)
     x <- normalize((grad/r + shift * x^(p-1))^(1/(p-1))), shift (r-1)! * max
-    degree.  Restarts from the uniform point, warm vectors, per-edge
-    indicators, and random simplex points; the best value wins.
-  target max, p = 1: projected gradient ascent on the standard simplex
-    (the sphere quadrant in l^1) from the same starts; Newton on the KKT
-    system of the face it ends on polishes the best ones.  No stationarity
-    residual is defined at p = 1.
+    degree, from the uniform point, warm vectors, per-edge indicators and
+    random simplex points.
   target min, odd rank: the negated maximizer, with signs flipped on an odd
     transversal of the support when one exists.
-  target min, even rank: `_sphere_loop` on the full sphere, stepping by
-    projected gradient descent, from sign-randomized restarts plus the best
-    -1/0/+1 sign pattern for n <= 6 (at p = 1, the simplex method in each
-    sign orthant); when the support has an odd transversal the sign-flipped
-    maximizer is an additional seed and attains the optimum.
+  target min, even rank, p > 1: `_sphere_loop` on the full sphere, stepping
+    by projected gradient descent, from sign-randomized restarts plus the
+    best -1/0/+1 sign pattern for n <= 6; when the support has an odd
+    transversal the sign-flipped maximizer is an additional seed (at p = 1
+    too) and attains the optimum.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
     iterations; both steps cost one gradient per iterate or trial, its value
     taken by the Euler identity x . grad / r.  Once an iterate's relative
@@ -74,9 +78,6 @@ _POLISH_GAIN_ULPS = 4
 class SolveOptions:
     """Knobs shared by every solve; defaults favor accuracy over speed.
 
-    `mode` picks the step of the maximum's sphere loop at p > 1: the shifted
-    fixed-point map ("auto", "fixed-point") or the minimum's Armijo step
-    ("projected-gradient"); the two agree to a few ulps.
     `parallel` is accepted for compatibility and has no effect: restarts
     always run serially, since a thread pool gave no speedup on these
     GIL-bound loops.
@@ -86,7 +87,6 @@ class SolveOptions:
     max_iter: int = 100_000
     restarts: int = 32
     seed: int = 0
-    mode: str = "auto"            # auto | fixed-point | projected-gradient
     parallel: bool = False        # no effect
 
     def __post_init__(self):
@@ -96,8 +96,6 @@ class SolveOptions:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iter < 1:
             raise ValueError(f"iteration cap must be positive, got {self.max_iter}")
-        if self.mode not in ("auto", "fixed-point", "projected-gradient"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -182,19 +180,17 @@ class _Cand:
     tol_met: bool
 
 
-def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
-    """One retracted step along the projected gradient, halving eta until the
-    value, by the Euler identity at the trial's gradient, improves; returns
-    (x, lam, eta, g) or None when no step improves."""
+def _armijo_step(G, p, x, lam, g, eta):
+    """One retracted step down the projected gradient, halving eta until the
+    value, by the Euler identity at the trial's gradient, decreases; returns
+    (x, lam, eta, g) or None when no step decreases it."""
     normal = _signed_power(x, p - 1.0)
     nn = float(normal @ normal)
     d = g - (float(g @ normal) / nn) * normal if nn > 0 else g
     if eta is None:
         eta = 1.0 / max(1.0, float(np.abs(d).max()))
     for k in range(60):
-        trial = x + sense * eta * d
-        if nonneg:
-            trial = np.maximum(trial, 0.0)
+        trial = x - eta * d
         nrm = lp_norm(trial, p)
         if nrm > 0.0:
             trial = trial / nrm
@@ -202,7 +198,7 @@ def _armijo_step(G, p, x, lam, g, eta, sense, nonneg):
             lam_t = float(trial @ g_t) / G.rank
             # require progress above the float-noise floor, else the
             # iteration churns at a stationary point
-            if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
+            if lam - lam_t > 1e-14 * max(1.0, abs(lam)):
                 return trial, lam_t, 1.5 * eta if k == 0 else eta, g_t
         eta *= 0.5
     return None
@@ -212,7 +208,7 @@ def _fixed_point_step(rho):
     """The shifted fixed-point map (SS-HOPM: Kolda & Mayo, SIMAX 32, 2011) as
     a step of `_sphere_loop`; isotone for rho at least `default_shift`.  It
     returns no value or gradient: the loop takes them at the new point."""
-    def step(G, p, x, lam, g, eta, sense, nonneg):
+    def step(G, p, x, lam, g, eta):
         s = g / G.rank + rho * x ** (p - 1.0)
         top = s.max()
         if top <= 0.0:
@@ -221,22 +217,23 @@ def _fixed_point_step(rho):
     return step
 
 
-def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
+def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     """One restart of either extremum: the first-order `step` run in chunks
     of 20, 40, 80, ... (at most 5000) iterations and polished by
     `_newton_polish` once the relative residual is at most 1e-2 or the
     restart has run 500 iterations: at the first such iteration of each
     chunk, at the chunk's end, and when the step stops short of tol.  A
     polished point that meets tol ends the restart; a step off a saddle
-    resumes the iteration; a failed try waits for the next chunk.
+    resumes the iteration; a failed try waits for the next chunk.  The
+    maximum (sense +1) stays on the nonnegative part of the sphere.
 
-    `step(G, p, x, lam, g, eta, sense, nonneg)` returns (x, lam, eta, g), or
+    `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g), or
     None when it makes no progress; a lam or g of None is taken at the new x,
     lam from the Euler identity x . grad / r.  The value reported is
     `evaluate` at the last x.
     """
     x = np.asarray(x0, dtype=np.float64)
-    if nonneg:
+    if sense > 0:
         x = np.maximum(x, 0.0)
     x = normalize_lp(x, p)
     eta = g = lam = lam_prev = None
@@ -259,7 +256,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
             break
         moved = None
         if stalled < 5 * _STABLE_ITERS:
-            moved = step(G, p, x, lam, g, eta, sense, nonneg)
+            moved = step(G, p, x, lam, g, eta)
         polish = res > tol and (res <= _NEWTON_GATE * max(1.0, abs(lam))
                                 or it >= _NEWTON_AFTER) and (
             armed or moved is None or it == check_at or it == max_iter)
@@ -269,7 +266,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
             chunk = min(2 * chunk, _MAX_CHUNK)
             check_at += chunk
         if polish:
-            polished = _newton_polish(G, p, x, lam, tol, sense, nonneg)
+            polished = _newton_polish(G, p, x, lam, tol, sense)
             if polished is not None:
                 x, lam, res_y, met = polished
                 if met:
@@ -287,7 +284,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, nonneg, step) -> _Cand:
     return _Cand(x, evaluate(G, x), res, it, met)
 
 
-def _newton_polish(G, p, x, lam, tol, sense, nonneg):
+def _newton_polish(G, p, x, lam, tol, sense):
     """Newton from the iterate (x, lam) of `_sphere_loop`.
 
     Returns (y, value, residual, True) when Newton reaches a point y that
@@ -295,8 +292,9 @@ def _newton_polish(G, p, x, lam, tol, sense, nonneg):
     second-order test; (y, value, nan, False) when Newton lands on a saddle
     and a backtracked step along its most-wrong curvature improves on both
     the saddle and x, so that the loop resumes from y; None otherwise, so
-    that it resumes from x.
+    that it resumes from x.  For the maximum every point stays nonnegative.
     """
+    nonneg = sense > 0
     with np.errstate(all="ignore"):
         y = _newton_stationary(G, p, x, lam, tol)
     if y is None or (nonneg and np.any(y < 0.0)):
@@ -458,20 +456,16 @@ def _pgd_simplex(n, idx, w, y0, tol, max_iter, sense) -> _Cand:
             return _Cand(y, val, math.nan, it, True)
         if eta is None:
             eta = 1.0 / max(1.0, float(np.abs(g).max()))
-        accepted = False
-        first_try = True
-        for _ in range(60):
+        for k in range(60):
             trial = _project_simplex(y + sense * eta * g)
             val_t = _simplex_value(idx, w, trial)
             if sense * (val_t - val) > 1e-14 * max(1.0, abs(val)):
                 val_prev, y, val = val, trial, val_t
-                accepted = True
-                if first_try:
+                if k == 0:
                     eta *= 1.5
                 break
             eta *= 0.5
-            first_try = False
-        if not accepted:
+        else:
             return _Cand(y, val, math.nan, it, True)
     return _Cand(y, val, math.nan, it, False)
 
@@ -543,8 +537,39 @@ def _max_starts(G, p, opts, extra):
 
 def _min_starts(G, p, opts, extra, flip_seed):
     """Start vectors on the sphere: the flipped maximizer, warm, the best sign
-    pattern (n <= 6), one negated entry per edge, sign-randomized points."""
+    pattern (n <= 6), one negated entry per edge, sign-randomized points.
+
+    At p = 1: the warm vectors, then each sign orthant (all up to global
+    sign for n <= 6, else random ones and one negated entry per edge) times
+    the uniform point and one random simplex point, the flipped maximizer
+    first in its own orthant.  A zero entry counts as +.
+    """
     n = G.n_vertices
+    if p == 1.0:
+        in_orthant = lambda v: np.where(v < 0.0, -1.0, 1.0) * (np.abs(v) / np.abs(v).sum())
+        warm = [np.asarray(v, dtype=np.float64) for v in extra]
+        starts = [in_orthant(v) for v in warm if v.shape == (n,) and np.abs(v).sum() > 0]
+        seeded = {}
+        if flip_seed is not None:
+            seeded[tuple(-1 if t < 0 else 1 for t in flip_seed)] = in_orthant(flip_seed)
+        patterns = set(seeded)
+        if n <= _PATTERN_MAX_N:
+            for bits in range(1 << (n - 1)):
+                patterns.add((1,) + tuple(1 - 2 * (bits >> i & 1) for i in range(n - 1)))
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 2]))
+            for _ in range(max(opts.restarts, 4)):
+                patterns.add(tuple(int(s) for s in rng.integers(0, 2, n) * 2 - 1))
+            for e in G.edges()[:_MAX_EDGE_STARTS]:
+                patterns.add(tuple(-1 if k == e[0] else 1 for k in range(n)))
+        rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 3]))
+        for s in sorted(patterns):
+            if s in seeded:
+                starts.append(seeded[s])
+            sv = np.array(s, dtype=np.float64)
+            starts.append(sv * np.full(n, 1.0 / n))
+            starts.extend(sv * y for y in _random_simplex_points(rng, 1, n))
+        return starts
     starts = []
     if flip_seed is not None:
         starts.append(flip_seed)
@@ -586,8 +611,7 @@ def _class_polish(G, p, cand: _Cand, sense, tol) -> _Cand:
         return cand
     y = normalize_lp(y, p)
     lam_y = evaluate(G, y)
-    g = gradient(G, y)
-    res_y = _residual_from_grad(G.rank, p, lam_y, y, g)
+    res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
     if sense * (lam_y - cand.lam) >= -10 * tol * max(1.0, abs(cand.lam)) \
             and res_y <= max(cand.res, tol):
         return _Cand(y, lam_y, res_y, cand.iters, cand.tol_met)
@@ -602,119 +626,82 @@ def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
     return min(pool, key=lambda c: tuple(c.x.tolist()))
 
 
-def _zero_result(G, p, target) -> EigenResult:
-    vec = PointOnSphere(np.zeros(G.n_vertices), p, normalized=False)
-    return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
-
-
-def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
-                   opts: SolveOptions | None = None,
-                   initial_vectors=()) -> list[tuple[float, np.ndarray, float]]:
-    """All per-restart outcomes (value, vector, residual), for diagnostics."""
-    opts = opts or SolveOptions()
-    if target == "max":
-        cands = _max_candidates(G, check_exponent(p), opts, initial_vectors)
-    elif target == "min":
-        cands = _min_candidates(G, check_exponent(p), opts, initial_vectors)[0]
-    else:
-        raise ValueError(f"target must be 'max' or 'min', got {target!r}")
-    return [(c.lam, c.x, c.res) for c in cands]
-
-
-def _max_candidates(G, p, opts, extra) -> list[_Cand]:
-    starts = _max_starts(G, p, opts, extra)
+def _run_start(G, p, x0, opts, sense, step) -> _Cand:
+    """One restart from x0.  At p = 1: the simplex method in x0's sign
+    orthant s, on the weights w_e prod_{k in e} s_k from |x0|; at p > 1:
+    `_sphere_loop` with `step`, then `_class_polish`."""
     if p == 1.0:
+        s = np.where(np.signbit(x0), -1.0, 1.0)
         idx, w = G.arrays()
-        n = G.n_vertices
-        cands = [_pgd_simplex(n, idx, w, y0, opts.tol, opts.max_iter, +1.0) for y0 in starts]
-        return _refine_tied_simplex(G, cands, +1.0, opts.tol)
-    if opts.mode == "projected-gradient":
-        step = _armijo_step
-    else:
-        step = _fixed_point_step(default_shift(G))
-    cands = [_sphere_loop(G, p, x0, opts.tol, opts.max_iter, +1.0, True, step) for x0 in starts]
-    return [_class_polish(G, p, c, +1.0, opts.tol) for c in cands]
+        c = _pgd_simplex(G.n_vertices, idx, w * np.prod(s[idx], axis=1), np.abs(x0),
+                         opts.tol, opts.max_iter, sense)
+        return _Cand(s * c.x, c.lam, math.nan, c.iters, c.tol_met)
+    c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
+    return _class_polish(G, p, c, sense, opts.tol)
 
 
-def lambda_max(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
-               initial_vectors=()) -> EigenResult:
-    """Best maximizer of the edge polynomial over the unit l^p sphere."""
-    p = check_exponent(p)
-    opts = opts or SolveOptions()
-    if G.n_vertices == 0 or G.num_edges == 0:
-        return _zero_result(G, p, "max")
-    cands = _max_candidates(G, p, opts, initial_vectors)
-    win = _pick(cands, +1.0, opts.tol)
-    certified = p == 1.0 or p >= G.rank
-    status = "converged" if (win.tol_met and certified) else "best-effort"
-    return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
-                       win.res, win.iters, len(cands), status, p, "max")
-
-
-def _min_candidates(G, p, opts, extra, top=None):
-    """Candidates for the minimum; also returns the certification flag.
+def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bool]:
+    """Every restart's candidate for `target`, and whether the regime
+    certifies the optimum.
 
     With an odd transversal the maximum with signs flipped on it is the
     minimum at odd rank (the whole vertex set is one) and a start at even
     rank.  `top` is the caller's solved maximum, if any; without it the
     maximum is solved here.
     """
-    odd = G.rank % 2 == 1
-    ot = odd_transversal(G)
-    flip_seed = None
-    certified = False
     extra = list(extra)
-    if ot is not None:
-        if top is None:
-            top = lambda_max(G, p, opts, initial_vectors=extra if odd else ())
-        flip_seed = top.vector.coords.copy()
-        flip_seed[list(ot)] = -flip_seed[list(ot)]
-        certified = top.status == "converged"
-        if odd:
-            return [_Cand(flip_seed, evaluate(G, flip_seed), top.residual, top.iterations,
-                          certified)], certified
-    if p == 1.0:
-        return _min_candidates_p1(G, opts, flip_seed), certified
-    starts = _min_starts(G, p, opts, extra, flip_seed)
-    cands = [_sphere_loop(G, p, x0, opts.tol, opts.max_iter, -1.0, False, _armijo_step)
-             for x0 in starts]
-    return [_class_polish(G, p, c, -1.0, opts.tol) for c in cands], certified
-
-
-def _min_candidates_p1(G, opts, flip_seed):
-    """Even-rank minimum at p = 1: sign patterns times a simplex ascent.
-
-    All sign patterns are enumerated for n <= 6 (up to global sign);
-    otherwise random patterns plus the odd-transversal pattern are used.
-    """
-    n = G.n_vertices
-    idx, w = G.arrays()
-    patterns = set()
-    if flip_seed is not None:
-        patterns.add(tuple(-1 if v < 0 else 1 for v in flip_seed))
-    if n <= _PATTERN_MAX_N:
-        for bits in range(1 << (n - 1)):
-            patterns.add((1,) + tuple(1 - 2 * (bits >> i & 1) for i in range(n - 1)))
+    if target == "max":
+        sense, step = 1.0, _fixed_point_step(default_shift(G))
+        certified = p == 1.0 or p >= G.rank
+        starts = _max_starts(G, p, opts, extra)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 2]))
-        for _ in range(max(opts.restarts, 4)):
-            patterns.add(tuple(int(s) for s in rng.integers(0, 2, n) * 2 - 1))
-        for e in G.edges()[:_MAX_EDGE_STARTS]:
-            s = [1] * n
-            s[e[0]] = -1
-            patterns.add(tuple(s))
-    rng2 = np.random.default_rng(np.random.SeedSequence([opts.seed, 3]))
-    cands = []
-    for s in sorted(patterns):
-        sv = np.array(s, dtype=np.float64)
-        sw = w * np.prod(sv[idx], axis=1)
-        starts = [np.full(n, 1.0 / n)] + _random_simplex_points(rng2, 1, n)
-        if flip_seed is not None and tuple(-1 if v < 0 else 1 for v in flip_seed) == s:
-            starts.insert(0, np.abs(flip_seed) / np.abs(flip_seed).sum())
-        for y0 in starts:
-            c = _pgd_simplex(n, idx, sw, y0, opts.tol, opts.max_iter, -1.0)
-            cands.append(_Cand(sv * c.x, c.lam, math.nan, c.iters, c.tol_met))
-    return _refine_tied_simplex(G, cands, -1.0, opts.tol)
+        sense, step = -1.0, _armijo_step
+        odd = G.rank % 2 == 1
+        ot = odd_transversal(G)
+        flip_seed, certified = None, False
+        if ot is not None:
+            if top is None:
+                top = lambda_max(G, p, opts, initial_vectors=extra if odd else ())
+            flip_seed = top.vector.coords.copy()
+            flip_seed[list(ot)] = -flip_seed[list(ot)]
+            certified = top.status == "converged"
+            if odd:
+                return [_Cand(flip_seed, evaluate(G, flip_seed), top.residual,
+                              top.iterations, certified)], certified
+        starts = _min_starts(G, p, opts, extra, flip_seed)
+    cands = [_run_start(G, p, x0, opts, sense, step) for x0 in starts]
+    if p == 1.0:
+        cands = _refine_tied_simplex(G, cands, sense, opts.tol)
+    return cands, certified
+
+
+def _solve(G, p, opts, target, extra=(), top=None) -> EigenResult:
+    """The best candidate of `target` for a checked p (see `_candidates`)."""
+    if G.n_vertices == 0 or G.num_edges == 0:
+        vec = PointOnSphere(np.zeros(G.n_vertices), p, normalized=False)
+        return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
+    cands, certified = _candidates(G, p, opts, target, extra, top)
+    win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
+    status = "converged" if (win.tol_met and certified) else "best-effort"
+    return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
+                       win.res, win.iters, len(cands), status, p, target)
+
+
+def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
+                   opts: SolveOptions | None = None,
+                   initial_vectors=()) -> list[tuple[float, np.ndarray, float]]:
+    """All per-restart outcomes (value, vector, residual), for diagnostics."""
+    if target not in ("max", "min"):
+        raise ValueError(f"target must be 'max' or 'min', got {target!r}")
+    cands = _candidates(G, check_exponent(p), opts or SolveOptions(), target,
+                        initial_vectors)[0]
+    return [(c.lam, c.x, c.res) for c in cands]
+
+
+def lambda_max(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
+               initial_vectors=()) -> EigenResult:
+    """Best maximizer of the edge polynomial over the unit l^p sphere."""
+    return _solve(G, check_exponent(p), opts or SolveOptions(), "max", initial_vectors)
 
 
 def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
@@ -725,27 +712,14 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
     descent; an odd transversal of the support certifies the optimum as the
     negated maximum.
     """
-    return _lambda_min(G, check_exponent(p), opts or SolveOptions(), initial_vectors)
-
-
-def _lambda_min(G, p, opts, extra=(), top=None) -> EigenResult:
-    """lambda_min for a checked p.  `top` is the caller's solved maximum, if
-    any; it is used where the minimum needs the maximum instead of solving it
-    again (see _min_candidates)."""
-    if G.n_vertices == 0 or G.num_edges == 0:
-        return _zero_result(G, p, "min")
-    cands, certified = _min_candidates(G, p, opts, extra, top)
-    win = _pick(cands, -1.0, opts.tol)
-    status = "converged" if (win.tol_met and certified) else "best-effort"
-    return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
-                       win.res, win.iters, len(cands), status, p, "min")
+    return _solve(G, check_exponent(p), opts or SolveOptions(), "min", initial_vectors)
 
 
 def _extremes(G, p, opts, warm_max=(), warm_min=()) -> tuple[EigenResult, EigenResult]:
     """(lambda_max, lambda_min) with the maximum solved once: the minimum
     reuses it at odd rank and as the flip seed of an odd transversal."""
     top = lambda_max(G, p, opts, initial_vectors=warm_max)
-    return top, _lambda_min(G, top.p, opts, warm_min, top=top)
+    return top, _solve(G, top.p, opts, "min", warm_min, top)
 
 
 # ---------------------------------------------------------------------------

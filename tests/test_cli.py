@@ -67,6 +67,20 @@ def test_bad_file_exit_one(capsys, tmp_path):
     assert "repeated vertex" in err
 
 
+def test_non_finite_or_non_integer_input_exit_one(capsys, tmp_path):
+    for name, body, msg in [
+            ("nan.json", '{"rank": 2, "vertices": 2, "edges": [{"verts": [0, 1], "w": NaN}]}',
+             "non-finite weight"),
+            ("inf.txt", "2 2 1\n0 1 inf\n", "non-finite weight"),
+            ("float.json", '{"rank": 2.7, "vertices": 3.9, "edges": [{"verts": [0.6, 1.2]}]}',
+             "must be an integer")]:
+        path = tmp_path / name
+        path.write_text(body)
+        code, _, err = run(capsys, ["compute", "--input", str(path), "--p", "2"])
+        assert code == 1, name
+        assert msg in err, name
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run(capsys, ["compute", "--p", "2"])
     assert code == 1

@@ -39,6 +39,36 @@ def test_rejects_bad_edges():
         ps.WeightedHypergraph(2, 4, {(0,): 1.0})
 
 
+def test_rejects_non_finite_weights():
+    for w in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight"):
+            ps.WeightedHypergraph(2, 3, {(0, 1): w})
+    for w in ("NaN", "Infinity", "-Infinity"):
+        doc = '{"rank": 2, "vertices": 3, "edges": [{"verts": [1, 0], "w": %s}]}' % w
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight"):
+            ps.from_json(doc)
+    for w in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight"):
+            ps.from_text(f"2 3 1\n0 1 {w}\n")
+
+
+def test_json_rejects_non_integer_ids():
+    # float ids were cut down (edge [0.6, 1.2] read as (0, 1)) and a string
+    # was read as a list of digits
+    for doc, what in [
+            ('{"rank": 2.7, "vertices": 3, "edges": []}', "rank must be an integer"),
+            ('{"rank": 2, "vertices": 3.9, "edges": []}', "vertex count must be an integer"),
+            ('{"rank": 2, "vertices": 3.0, "edges": []}', "vertex count must be an integer"),
+            ('{"rank": 2, "vertices": 3, "edges": [{"verts": [0.6, 1.2]}]}', "integer vertex"),
+            ('{"rank": 2, "vertices": 3, "edges": [{"verts": [0, 1.0]}]}', "integer vertex"),
+            ('{"rank": 2, "vertices": 3, "edges": [{"verts": "01"}]}', "integer vertex"),
+            ('{"rank": 2, "vertices": 3, "edges": [{"verts": 1}]}', "integer vertex")]:
+        with pytest.raises(ValueError, match=what):
+            ps.from_json(doc)
+    G = ps.WeightedHypergraph(np.int64(2), np.int32(3), {(np.int64(2), np.int8(0)): 1.0})
+    assert G == ps.from_edge_list(2, 3, [(0, 2)])
+
+
 def test_canonical_edge_tuples_are_reused():
     e = (0, 1, 2)
     G = ps.WeightedHypergraph(3, 5, {e: 1.0, (np.int64(4), 3, 2): 0.5})

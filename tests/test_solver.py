@@ -93,17 +93,8 @@ def test_solve_options_validation():
         ps.SolveOptions(tol=0.0)
     with pytest.raises(ValueError, match="restarts"):
         ps.SolveOptions(restarts=0)
-    with pytest.raises(ValueError, match="mode"):
-        ps.SolveOptions(mode="annealing")
     with pytest.raises(ValueError, match="exponent"):
         ps.lambda_max(ps.single_edge(2), 0.9, FAST)
-
-
-def test_projected_gradient_mode_agrees():
-    G = ps.complete(2, 4)
-    a = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=6, mode="projected-gradient"))
-    b = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=6))
-    assert a.value == pytest.approx(b.value, abs=1e-8)
 
 
 # maximum at 1 < p < r: the fixed point with the Newton polish ---------------
@@ -491,11 +482,6 @@ GOLDEN = {
     "max-warm-p1": (
         lambda: ps.lambda_max(_G3, 1.0, FAST, initial_vectors=_WARM), "0x1.399680b9d4723p-2",
         "ac5d25ae506b06bdee23b3c1894dddd67eb6cb7563d8f09d62a6f261f706d597", 15),
-    "max-projected-gradient": (
-        lambda: ps.lambda_max(ps.complete(2, 4), 2.0,
-                              ps.SolveOptions(restarts=6, mode="projected-gradient")),
-        "0x1.8000000000000p+1",
-        "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f", 1),
     "min-odd-rank": (
         lambda: ps.lambda_min(_G3, 2.5, FAST), "-0x1.76f199b8c4a18p+3",
         "ee61d01d4353da4d2fa1418fa3b8bb16f9244d0c9b976abff8fb7b343c7f48a8", 11),
@@ -508,6 +494,15 @@ GOLDEN = {
     "min-even-p1": (
         lambda: ps.lambda_min(ps.cycle(2, 5), 1.0, FAST), "-0x1.0000000000001p-1",
         "6884ecc169ebdf711eff0c53e529cc161be3a8f8a7b5daec90950de7fea09e59", 3),
+    "min-p1-random-orthants": (
+        lambda: ps.lambda_min(ps.cycle(2, 7), 1.0, FAST), "-0x1.0000000000001p-1",
+        "ae55ad1bf617fff138affb50375f4fa4aa2aed60f8c58f37f3347261fb030ad1", 11),
+    "min-p1-flip-orthant": (
+        lambda: ps.lambda_min(ps.cycle(2, 8), 1.0, FAST), "-0x1.0000000000001p-1",
+        "d3b8e2f5c9461ca57e85a7f189ef57a99e879970d116840c93b3742701fedfff", 3),
+    "min-p1-rank4": (
+        lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 1.0, FAST), "-0x1.4657ca3846e39p-3",
+        "ace9b6508bd56e7fbb98f0a19fdc23f190c5a62a87524e83bac0b5e3adc9b4eb", 24),
     "min-example2": (
         lambda: ps.lambda_min(EXAMPLE2, 1.118, POOL), "-0x1.3ee64e6e29736p-1",
         "d49101333995d23d6a88e1ff5accfd1ce61d5936313a6d094f6cdc1bac37184e", 1260),
@@ -636,3 +631,13 @@ def test_p1_maximum_hits_the_lagrangian_to_4_ulps():
         for G, want in cases:
             got = ps.lambda_max(G, 1.0, opts).value
             assert abs(got - want) <= 4 * np.spacing(want), (G, opts, got)
+
+
+def test_p1_even_rank_minimum_uses_its_warm_vector():
+    # the warm vector was dropped at even rank and p = 1: one restart
+    # returned -0.158203125 with or without it
+    G = ps.random_gnp(4, 8, 0.5, 1)
+    v = ps.lambda_min(G, 1.0, ps.SolveOptions(tol=1e-9, restarts=32, seed=0)).vector.coords
+    res = ps.lambda_min(G, 1.0, ps.SolveOptions(tol=1e-9, restarts=1, seed=0),
+                        initial_vectors=[v])
+    assert res.value <= ps.evaluate(G, v) + 1e-12
