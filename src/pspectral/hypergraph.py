@@ -12,6 +12,7 @@ import bisect
 import itertools
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -71,6 +72,9 @@ class WeightedHypergraph:
         store: dict[Edge, float] = {}
         for verts, w in items:
             edge = _normalize_edge(verts, rank, n_vertices)
+            # plain floats skip the slower abstract-class check
+            if type(w) is not float and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
+                raise ValueError(f"edge {edge} has weight {w!r}, not a real number")
             w = float(w)
             if not math.isfinite(w):
                 raise ValueError(f"edge {edge} has non-finite weight {w}")
@@ -81,6 +85,13 @@ class WeightedHypergraph:
             if w == 0.0:
                 continue  # zero weight means absent edge
             store[edge] = w
+        # on the unit l^p sphere every coordinate is at most 1, so the value
+        # and every gradient and Hessian entry are bounded by r! * sum(w);
+        # float products overflow to inf rather than raise
+        total = sum(store.values())
+        if not math.isfinite(math.prod(range(2, rank + 1), start=total)):
+            raise ValueError(f"edge weights sum to {total:.6g}, and {rank}! times "
+                             f"that is not finite")
         self._rank = rank
         self._n = n_vertices
         self._edges = tuple(sorted(store))

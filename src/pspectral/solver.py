@@ -13,9 +13,12 @@ Algorithm map
     n <= 6 and in random ones beyond.  No residual is defined at p = 1.
   target max, p > 1: `_sphere_loop` on the nonnegative part of the sphere,
     stepping by the shifted fixed-point map (SS-HOPM)
-    x <- normalize((grad/r + shift * x^(p-1))^(1/(p-1))), shift (r-1)! * max
-    degree, from the uniform point, warm vectors, per-edge indicators and
-    random simplex points.
+    x <- normalize((grad/r + shift * x^(p-1))^(1/(p-1))), from the uniform
+    point, warm vectors, per-edge indicators and random simplex points.  The
+    shift scales with the value, max(r-p, 1)/(p-1) * lam: a positive
+    stationary point is the Perron vector of a pencil whose other modes the
+    map then contracts.  A step whose value would fall is redone with the
+    worst-case shift (r-1)! * max degree / min(1, p-1), which ascends.
   target min, odd rank: the negated maximizer, with signs flipped on an odd
     transversal of the support when one exists.
   target min, even rank, p > 1: `_sphere_loop` on the full sphere, stepping
@@ -24,11 +27,12 @@ Algorithm map
     transversal the sign-flipped maximizer is an additional seed (at p = 1
     too) and attains the optimum.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
-    iterations; both steps cost one gradient per iterate or trial, its value
-    taken by the Euler identity x . grad / r.  Once an iterate's relative
-    residual is at most 1e-2 (or after 500 iterations) Newton on the
-    stationarity system polishes it, at the first such iterate of each chunk
-    and at the chunk's end, in the dual point u = sign(x)|x|^(p-1) for p < 2.
+    iterations; both steps cost one gradient per iterate or trial (two on a
+    fixed-point fallback), its value taken by the Euler identity
+    x . grad / r.  Once an iterate's relative residual is at most 1e-2 (or
+    after 500 iterations) Newton on the stationarity system polishes it, at
+    the first such iterate of each chunk and at the chunk's end, in the dual
+    point u = sign(x)|x|^(p-1) for p < 2.
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
@@ -147,7 +151,10 @@ def _residual_from_grad(rank: int, p: float, lam: float, x, g) -> float:
 
 
 def default_shift(G: WeightedHypergraph) -> float:
-    """(r-1)! times the maximum weighted degree; keeps the iteration map isotone."""
+    """(r-1)! times the maximum weighted degree: the cap of the fixed-point
+    map's value-scaled shift and, divided by min(1, p-1), its worst-case
+    fallback, with which each step ascends.  (With nonnegative weights the
+    map is isotone for any shift >= 0; what this shift buys is ascent.)"""
     return math.factorial(G.rank - 1) * G.max_degree()
 
 
@@ -204,16 +211,45 @@ def _armijo_step(G, p, x, lam, g, eta):
     return None
 
 
-def _fixed_point_step(rho):
+def _shifted_image(G, p, x, g, rho):
+    """The image of x under the map with shift rho, its Euler value and its
+    gradient; None when the map is undefined (no positive entry)."""
+    s = g / G.rank + rho * x ** (p - 1.0)
+    top = s.max()
+    if top <= 0.0:
+        return None
+    y = normalize_lp((s / top) ** (1.0 / (p - 1.0)), p)
+    g_y = gradient(G, y)
+    return y, float(y @ g_y) / G.rank, g_y
+
+
+def _fixed_point_step(cap):
     """The shifted fixed-point map (SS-HOPM: Kolda & Mayo, SIMAX 32, 2011) as
-    a step of `_sphere_loop`; isotone for rho at least `default_shift`.  It
-    returns no value or gradient: the loop takes them at the new point."""
+    a step of `_sphere_loop`, with a shift that scales with the value.
+
+    At a positive stationary point x, Euler's identity makes x the Perron
+    vector of the pencil (H/r, (p-1) diag(x^(p-2))) with root (r-1)lam/(p-1),
+    so every other mode mu has |mu| <= (r-1)lam/(p-1) (and mu <= lam at a
+    local maximum), and the map contracts it by (mu + rho)/(lam + rho),
+    inside (-1, 1) once rho >= (r-p)lam/(2(p-1)).  The step therefore shifts by
+    rho = min(cap, max(r-p, 1)/(p-1) * max(lam, 0)), `cap` being
+    `default_shift`, and keeps the image when its value, by the Euler
+    identity at its gradient, falls below lam by at most 1e-14 relative.
+    Otherwise it steps once more with the worst-case shift cap/min(1, p-1):
+    below p = 2 the curvature (p-1)x^(p-2) of the shift term shrinks with
+    p - 1, and `cap` alone let rank-2 steps at p = 1.1 go downhill.
+    Returns (x, lam, eta, g) at the image, or None when the map is undefined.
+    """
     def step(G, p, x, lam, g, eta):
-        s = g / G.rank + rho * x ** (p - 1.0)
-        top = s.max()
-        if top <= 0.0:
+        worst = cap / min(1.0, p - 1.0)
+        rho = min(cap, max(G.rank - p, 1.0) / (p - 1.0) * max(lam, 0.0))
+        moved = _shifted_image(G, p, x, g, rho) if rho < worst else None
+        if moved is None or lam - moved[1] > 1e-14 * max(1.0, abs(lam)):
+            moved = _shifted_image(G, p, x, g, worst)
+        if moved is None:
             return None
-        return normalize_lp((s / top) ** (1.0 / (p - 1.0)), p), None, eta, None
+        y, lam_y, g_y = moved
+        return y, lam_y, eta, g_y
     return step
 
 
@@ -227,10 +263,9 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     resumes the iteration; a failed try waits for the next chunk.  The
     maximum (sense +1) stays on the nonnegative part of the sphere.
 
-    `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g), or
-    None when it makes no progress; a lam or g of None is taken at the new x,
-    lam from the Euler identity x . grad / r.  The value reported is
-    `evaluate` at the last x.
+    `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g) at the new point,
+    lam from the Euler identity x . grad / r, or None when it makes no
+    progress.  The value reported is `evaluate` at the last x.
     """
     x = np.asarray(x0, dtype=np.float64)
     if sense > 0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +68,29 @@ def test_bad_file_exit_one(capsys, tmp_path):
     code, _, err = run(capsys, ["compute", "--input", str(bad), "--p", "2"])
     assert code == 1
     assert "repeated vertex" in err
+
+
+def test_huge_total_weight_exits_one_at_once(tmp_path):
+    # 2! * 1e308 overflows the edge polynomial; the solve ran past 60 s
+    path = tmp_path / "huge.json"
+    path.write_text('{"rank": 2, "vertices": 2, "edges": [{"verts": [0, 1], "w": 1e308}]}')
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ps.__file__)))
+    out = subprocess.run([sys.executable, "-m", "pspectral.cli", "compute", "--input",
+                          str(path), "--p", "2"], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert out.returncode == 1
+    assert "sum to 1e+308" in out.stderr
+
+
+def test_non_real_json_weights_exit_one(capsys, tmp_path):
+    # a bare float() read "1.5" as 1.5 and true as 1.0, and [1] escaped as a
+    # TypeError traceback
+    for w in ("[1]", '"1.5"', "true"):
+        path = tmp_path / "w.json"
+        path.write_text('{"rank": 2, "vertices": 2, "edges": [{"verts": [0, 1], "w": %s}]}' % w)
+        code, _, err = run(capsys, ["compute", "--input", str(path), "--p", "2"])
+        assert code == 1, w
+        assert "edge (0, 1) has weight" in err and "not a real number" in err, w
 
 
 def test_non_finite_or_non_integer_input_exit_one(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,6 +51,29 @@ def test_rejects_non_finite_weights():
     for w in ("nan", "inf", "-inf"):
         with pytest.raises(ValueError, match=r"edge \(0, 1\) has non-finite weight"):
             ps.from_text(f"2 3 1\n0 1 {w}\n")
+
+
+def test_weights_must_be_real_numbers():
+    for w in ("[1]", '"1.5"', "true"):
+        doc = '{"rank": 2, "vertices": 3, "edges": [{"verts": [1, 0], "w": %s}]}' % w
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight .* not a real number"):
+            ps.from_json(doc)
+    for w in (True, "1.5", None, 1j):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight"):
+            ps.WeightedHypergraph(2, 3, {(0, 1): w})
+    G = ps.WeightedHypergraph(2, 3, {(0, 1): np.float32(0.5), (1, 2): np.int64(2),
+                                     (0, 2): Fraction(1, 4)})
+    assert [G.weight(e) for e in [(0, 1), (1, 2), (0, 2)]] == [0.5, 2.0, 0.25]
+
+
+def test_rejects_a_total_weight_the_polynomial_cannot_hold():
+    # every value, gradient and Hessian entry on the unit sphere is at most r! * sum(w)
+    for rank, n, edges in [(2, 2, {(0, 1): 1e308}), (2, 3, {(0, 1): 1e308, (1, 2): 1e308}),
+                           (3, 3, {(0, 1, 2): 3e307})]:
+        with pytest.raises(ValueError, match="is not finite"):
+            ps.WeightedHypergraph(rank, n, edges)
+    assert ps.WeightedHypergraph(2, 2, {(0, 1): 8e307}).size() == 8e307
+    assert ps.WeightedHypergraph(3, 3, {(0, 1, 2): 2.9e307}).size() == 2.9e307
 
 
 def test_json_rejects_non_integer_ids():
