@@ -25,7 +25,7 @@ from .hypergraph import (FamilySpec, WeightedHypergraph, add, beta_star, blow_up
                          turan, write_file)
 from .polyform import PointOnSphere, evaluate, evaluate_many, gradient, lp_norm, normalize_lp
 from .solver import (CurvePoint, EigenResult, SolveOptions, algebraic_modulus_check,
-                     brute_force_lambda, collatz_wielandt, eigen_residual,
+                     brute_force_lambda, collatz_wielandt, eigen_residual, extremes,
                      lambda_curve, lambda_max, lambda_min, solve_restarts)
 
 __version__ = "0.1.0"

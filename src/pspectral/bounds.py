@@ -217,9 +217,9 @@ def bound_suite_min(G: WeightedHypergraph, p: float, lam_min: float | None = Non
 # ---------------------------------------------------------------------------
 
 def _solve_pair(G, p, opts):
-    from .solver import SolveOptions, _extremes
+    from .solver import extremes
 
-    top, bot = _extremes(G, p, opts or SolveOptions())
+    top, bot = extremes(G, p, opts)
     return top.value, bot.value
 
 
@@ -232,12 +232,10 @@ def weyl_check(G1: WeightedHypergraph, G2: WeightedHypergraph, p: float,
     min_sum; anything missing is solved here.
     """
     from .hypergraph import add
-    from .solver import SolveOptions
 
     p = check_exponent(p)
     if G1.rank != G2.rank or G1.n_vertices != G2.n_vertices:
         raise ValueError("the check needs equal rank and vertex set")
-    opts = opts or SolveOptions()
     v = dict(values or {})
     H = add(G1, G2)
     if "max1" not in v or "min1" not in v:

@@ -20,7 +20,7 @@ import numpy as np
 from . import combinatorics as comb
 from . import hypergraph as hg
 from .bounds import bound_suite_max, bound_suite_min, structural_bounds
-from .solver import (SolveOptions, _extremes, brute_force_lambda, lambda_curve, lambda_max,
+from .solver import (SolveOptions, brute_force_lambda, extremes, lambda_curve, lambda_max,
                      lambda_min)
 
 EXIT_OK = 0
@@ -122,6 +122,7 @@ def cmd_compute(args) -> int:
     report["results"] = {
         "value": res.value,
         "residual": None if np.isnan(res.residual) else res.residual,
+        "gap": res.gap if np.isfinite(res.gap) else None,
         "status": res.status,
         "iterations": res.iterations,
         "restarts": res.restarts_used,
@@ -140,7 +141,7 @@ def cmd_bounds(args) -> int:
     opts = _opts(args)
     t0 = time.perf_counter()
     try:
-        top, bot = _extremes(G, p, opts)
+        top, bot = extremes(G, p, opts)
         reports = (bound_suite_max(G, p, top.value)
                    + structural_bounds(G, p, top.value)
                    + bound_suite_min(G, p, bot.value, top.value))

@@ -19,13 +19,17 @@ Algorithm map
     stationary point is the Perron vector of a pencil whose other modes the
     map then contracts.  A step whose value would fall is redone with the
     worst-case shift (r-1)! * max degree / min(1, p-1), which ascends.
-  target min, odd rank: the negated maximizer, with signs flipped on an odd
-    transversal of the support when one exists.
-  target min, even rank, p > 1: `_sphere_loop` on the full sphere, stepping
-    by projected gradient descent, from sign-randomized restarts plus the
-    best -1/0/+1 sign pattern for n <= 6; when the support has an odd
-    transversal the sign-flipped maximizer is an additional seed (at p = 1
-    too) and attains the optimum.
+    At p >= r, with y = x^p, the value is a concave function of y on the
+    simplex, so a candidate's Frank-Wolfe gap (`_concavity_gap`) bounds how
+    far the optimum lies above it; the restarts stop at the first candidate
+    that meets tol with a gap of at most tol * max(1, lam).
+  target min with an odd transversal T of the support (every odd rank has
+    one): flipping signs on T negates every edge product, so the minimum is
+    the maximizer with signs flipped on T, at every rank and p, and no
+    minimum restart runs.
+  target min, even rank, otherwise: `_sphere_loop` on the full sphere,
+    stepping by projected gradient descent, from sign-randomized restarts
+    plus the best -1/0/+1 sign pattern for n <= 6.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
     iterations; both steps cost one gradient per iterate or trial (two on a
     fixed-point fallback), its value taken by the Euler identity
@@ -43,8 +47,8 @@ is reserved for runs whose stationarity tolerance was met and whose regime
 (p >= r, or p = 1, or an odd-transversal minimum) pins the global optimum.
 
 Restarts are independent given the seed and run one after another; the
-best candidate wins, with value ties broken toward the lexicographically
-smallest vector, so a solve is bit-reproducible.
+best candidate of those that ran wins, with value ties broken toward the
+lexicographically smallest vector, so a solve is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import equivalence_classes, odd_transversal
+from .combinatorics import odd_transversal
 from .hypergraph import WeightedHypergraph
 from .polyform import (PointOnSphere, _loo_gradient, check_exponent, evaluate,
                        evaluate_many, gradient, hessian, lp_norm, normalize_lp)
@@ -110,10 +114,11 @@ class EigenResult:
     vector: PointOnSphere
     residual: float               # NaN at p = 1, where no defect is defined
     iterations: int
-    restarts_used: int
+    restarts_used: int            # the restarts that ran
     status: str                   # "converged" | "best-effort"
     p: float
     target: str                   # "max" | "min"
+    gap: float = math.nan         # Frank-Wolfe gap of the maximum at p >= r, else NaN
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,7 @@ class _Cand:
     res: float
     iters: int
     tol_met: bool
+    gap: float = math.nan
 
 
 def _armijo_step(G, p, x, lam, g, eta):
@@ -570,24 +576,21 @@ def _max_starts(G, p, opts, extra):
     return starts[:max(opts.restarts, 1 + len(extra))]
 
 
-def _min_starts(G, p, opts, extra, flip_seed):
-    """Start vectors on the sphere: the flipped maximizer, warm, the best sign
-    pattern (n <= 6), one negated entry per edge, sign-randomized points.
+def _min_starts(G, p, opts, extra):
+    """Start vectors on the sphere: warm, the best sign pattern (n <= 6), one
+    negated entry per edge, sign-randomized points.
 
     At p = 1: the warm vectors, then each sign orthant (all up to global
     sign for n <= 6, else random ones and one negated entry per edge) times
-    the uniform point and one random simplex point, the flipped maximizer
-    first in its own orthant.  A zero entry counts as +.
+    the uniform point and one random simplex point.  A zero entry counts
+    as +.
     """
     n = G.n_vertices
     if p == 1.0:
-        in_orthant = lambda v: np.where(v < 0.0, -1.0, 1.0) * (np.abs(v) / np.abs(v).sum())
         warm = [np.asarray(v, dtype=np.float64) for v in extra]
-        starts = [in_orthant(v) for v in warm if v.shape == (n,) and np.abs(v).sum() > 0]
-        seeded = {}
-        if flip_seed is not None:
-            seeded[tuple(-1 if t < 0 else 1 for t in flip_seed)] = in_orthant(flip_seed)
-        patterns = set(seeded)
+        starts = [np.where(v < 0.0, -1.0, 1.0) * (np.abs(v) / np.abs(v).sum())
+                  for v in warm if v.shape == (n,) and np.abs(v).sum() > 0]
+        patterns = set()
         if n <= _PATTERN_MAX_N:
             for bits in range(1 << (n - 1)):
                 patterns.add((1,) + tuple(1 - 2 * (bits >> i & 1) for i in range(n - 1)))
@@ -599,15 +602,11 @@ def _min_starts(G, p, opts, extra, flip_seed):
                 patterns.add(tuple(-1 if k == e[0] else 1 for k in range(n)))
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 3]))
         for s in sorted(patterns):
-            if s in seeded:
-                starts.append(seeded[s])
             sv = np.array(s, dtype=np.float64)
             starts.append(sv * np.full(n, 1.0 / n))
             starts.extend(sv * y for y in _random_simplex_points(rng, 1, n))
         return starts
     starts = []
-    if flip_seed is not None:
-        starts.append(flip_seed)
     for v in extra:
         v = np.asarray(v, dtype=np.float64)
         if v.shape == (n,) and lp_norm(v, p) > 0:
@@ -629,30 +628,6 @@ def _min_starts(G, p, opts, extra, flip_seed):
     return starts[:max(opts.restarts, n_structured + 1)]
 
 
-def _class_polish(G, p, cand: _Cand, sense, tol) -> _Cand:
-    """Average the vector over vertex-equivalence classes, keep if not worse.
-
-    Stationary vectors are constant on the classes, so for a converged run
-    this is a no-op up to roundoff; it removes restart-to-restart jitter.
-    """
-    classes = equivalence_classes(G)
-    if all(len(c) == 1 for c in classes):
-        return cand
-    y = cand.x.copy()
-    for cls in classes:
-        if len(cls) > 1:
-            y[list(cls)] = y[list(cls)].mean()
-    if lp_norm(y, p) == 0.0:
-        return cand
-    y = normalize_lp(y, p)
-    lam_y = evaluate(G, y)
-    res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
-    if sense * (lam_y - cand.lam) >= -10 * tol * max(1.0, abs(cand.lam)) \
-            and res_y <= max(cand.res, tol):
-        return _Cand(y, lam_y, res_y, cand.iters, cand.tol_met)
-    return cand
-
-
 def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
     best = max(sense * c.lam for c in cands)
     pool = [c for c in cands if sense * c.lam >= best - tol]
@@ -664,47 +639,65 @@ def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
 def _run_start(G, p, x0, opts, sense, step) -> _Cand:
     """One restart from x0.  At p = 1: the simplex method in x0's sign
     orthant s, on the weights w_e prod_{k in e} s_k from |x0|; at p > 1:
-    `_sphere_loop` with `step`, then `_class_polish`."""
+    `_sphere_loop` with `step`."""
     if p == 1.0:
         s = np.where(np.signbit(x0), -1.0, 1.0)
         idx, w = G.arrays()
         c = _pgd_simplex(G.n_vertices, idx, w * np.prod(s[idx], axis=1), np.abs(x0),
                          opts.tol, opts.max_iter, sense)
         return _Cand(s * c.x, c.lam, math.nan, c.iters, c.tol_met)
-    c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
-    return _class_polish(G, p, c, sense, opts.tol)
+    return _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
+
+
+def _concavity_gap(G, p, x, lam) -> float:
+    """Frank-Wolfe gap (Jaggi, ICML 2013) of a nonnegative unit x with value
+    lam at p >= r, where the value is concave in y = x^p on the simplex: the
+    maximum is at most lam + (r/p)(hi - lam), hi = max_k grad_k/(r x_k^(p-1)).
+    The value is not differentiable where a vertex of positive degree has
+    x_k = 0, and the gap is +inf there (on two disjoint edges at p = 3 a point
+    on one edge is stationary at 2^(1/3), below the maximum 2^(2/3))."""
+    live = G.degrees() > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quot = gradient(G, x)[live] / (G.rank * x[live] ** (p - 1.0))
+    if not np.all(np.isfinite(quot)):
+        return math.inf
+    return G.rank / p * (float(quot.max()) - lam)
 
 
 def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bool]:
-    """Every restart's candidate for `target`, and whether the regime
-    certifies the optimum.
+    """The candidates of the restarts that ran for `target`, and whether the
+    regime certifies the optimum.
 
-    With an odd transversal the maximum with signs flipped on it is the
-    minimum at odd rank (the whole vertex set is one) and a start at even
-    rank.  `top` is the caller's solved maximum, if any; without it the
-    maximum is solved here.
+    With an odd transversal the minimum is one candidate: the maximizer with
+    signs flipped on it, with the maximum's status.  `top` is the caller's
+    solved maximum, if any; otherwise the maximum is solved here from the
+    warm vectors.  The maximum at p >= r stops at its first candidate that
+    meets tol with a concavity gap of at most tol * max(1, lam).
     """
     extra = list(extra)
     if target == "max":
         sense, step = 1.0, _fixed_point_step(default_shift(G))
         certified = p == 1.0 or p >= G.rank
-        starts = _max_starts(G, p, opts, extra)
+        cands = []
+        for x0 in _max_starts(G, p, opts, extra):
+            c = _run_start(G, p, x0, opts, sense, step)
+            cands.append(c)
+            if p >= G.rank:
+                c.gap = _concavity_gap(G, p, c.x, c.lam)
+                if c.tol_met and c.gap <= opts.tol * max(1.0, c.lam):
+                    break
     else:
-        sense, step = -1.0, _armijo_step
-        odd = G.rank % 2 == 1
         ot = odd_transversal(G)
-        flip_seed, certified = None, False
         if ot is not None:
             if top is None:
-                top = lambda_max(G, p, opts, initial_vectors=extra if odd else ())
-            flip_seed = top.vector.coords.copy()
-            flip_seed[list(ot)] = -flip_seed[list(ot)]
+                top = lambda_max(G, p, opts, initial_vectors=extra)
+            x = top.vector.coords.copy()
+            x[list(ot)] = -x[list(ot)]
             certified = top.status == "converged"
-            if odd:
-                return [_Cand(flip_seed, evaluate(G, flip_seed), top.residual,
-                              top.iterations, certified)], certified
-        starts = _min_starts(G, p, opts, extra, flip_seed)
-    cands = [_run_start(G, p, x0, opts, sense, step) for x0 in starts]
+            return [_Cand(x, evaluate(G, x), top.residual, top.iterations, certified)], certified
+        sense, certified = -1.0, False
+        cands = [_run_start(G, p, x0, opts, sense, _armijo_step)
+                 for x0 in _min_starts(G, p, opts, extra)]
     if p == 1.0:
         cands = _refine_tied_simplex(G, cands, sense, opts.tol)
     return cands, certified
@@ -719,13 +712,15 @@ def _solve(G, p, opts, target, extra=(), top=None) -> EigenResult:
     win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
     status = "converged" if (win.tol_met and certified) else "best-effort"
     return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
-                       win.res, win.iters, len(cands), status, p, target)
+                       win.res, win.iters, len(cands), status, p, target, win.gap)
 
 
 def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
                    opts: SolveOptions | None = None,
                    initial_vectors=()) -> list[tuple[float, np.ndarray, float]]:
-    """All per-restart outcomes (value, vector, residual), for diagnostics."""
+    """The outcome (value, vector, residual) of every restart that ran, for
+    diagnostics: the maximum at p >= r stops at its first certified restart,
+    and a minimum with an odd transversal is the one flipped maximizer."""
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
     cands = _candidates(G, check_exponent(p), opts or SolveOptions(), target,
@@ -743,18 +738,21 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
                initial_vectors=()) -> EigenResult:
     """Best minimizer of the edge polynomial over the unit l^p sphere.
 
-    Odd rank reduces to the negated maximum.  Even rank runs sign-randomized
-    descent; an odd transversal of the support certifies the optimum as the
-    negated maximum.
+    When the support has an odd transversal (always at odd rank) the minimum
+    is the negated maximum, attained by the maximizer with signs flipped on
+    the transversal, and takes the maximum's status; otherwise even rank runs
+    sign-randomized descent.
     """
     return _solve(G, check_exponent(p), opts or SolveOptions(), "min", initial_vectors)
 
 
-def _extremes(G, p, opts, warm_max=(), warm_min=()) -> tuple[EigenResult, EigenResult]:
+def extremes(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
+             warm_max=(), warm_min=()) -> tuple[EigenResult, EigenResult]:
     """(lambda_max, lambda_min) with the maximum solved once: the minimum
-    reuses it at odd rank and as the flip seed of an odd transversal."""
+    reuses it wherever the support has an odd transversal.  `warm_max` and
+    `warm_min` are the warm vectors of each solve."""
     top = lambda_max(G, p, opts, initial_vectors=warm_max)
-    return top, _solve(G, top.p, opts, "min", warm_min, top)
+    return top, _solve(G, top.p, opts or SolveOptions(), "min", warm_min, top)
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +858,7 @@ def lambda_curve(G: WeightedHypergraph, p_grid, opts: SolveOptions | None = None
     warm_max: list[np.ndarray] = []
     warm_min: list[np.ndarray] = []
     for q in grid:
-        top, bot = _extremes(G, q, opts, warm_max, warm_min)
+        top, bot = extremes(G, q, opts, warm_max, warm_min)
         warm_max = [top.vector.coords]
         warm_min = [bot.vector.coords]
         h = top.value * n ** (r / q) if n else 0.0

@@ -42,6 +42,17 @@ def test_compute_converged_exit_zero(capsys, k33):
     assert "status = converged" in out
 
 
+def test_compute_json_reports_the_gap(capsys, k33):
+    # the maximum's Frank-Wolfe gap at p >= r; null where none is defined
+    for p, finite in (("3", True), ("2", False)):
+        code, out, _ = run(capsys, ["compute", "--input", k33, "--p", p, "--json"])
+        results = json.loads(out)["results"]
+        if finite:
+            assert abs(results["gap"]) <= 1e-10 * max(1.0, results["value"])
+        else:
+            assert results["gap"] is None
+
+
 def test_compute_min(capsys, c4):
     code, out, _ = run(capsys, ["compute", "--input", c4, "--p", "2", "--target", "min"])
     assert "lambda_min = -2.0000000" in out

@@ -177,6 +177,75 @@ def test_newton_fires_when_the_gate_opens():
     assert res.iterations < 20
 
 
+# maximum at p >= r: the concavity gap certifies and stops the restarts ------
+
+def test_concavity_gap_is_infinite_where_a_live_vertex_is_zero():
+    # a point on one of two disjoint edges is stationary at 2^(1/3), and the
+    # gap read over its support alone is 1.5e-16; the maximum is 2^(2/3)
+    from pspectral.solver import _concavity_gap
+    G = ps.disjoint_union(ps.single_edge(2), ps.single_edge(2))
+    x = np.array([1.0, 1.0, 0.0, 0.0]) / 2 ** (1 / 3)
+    lam = ps.evaluate(G, x)
+    assert ps.eigen_residual(G, 3.0, lam, x) <= 1e-15
+    assert _concavity_gap(G, 3.0, x, lam) == math.inf
+    assert ps.lambda_max(G, 3.0, FAST).value == pytest.approx(2 ** (2 / 3), abs=1e-12)
+    # a vertex of degree 0 does not enter the polynomial
+    H = ps.from_edge_list(2, 3, [(0, 1)])
+    y = np.array([1.0, 1.0, 0.0]) / 2 ** (1 / 3)
+    assert abs(_concavity_gap(H, 3.0, y, ps.evaluate(H, y))) <= 1e-15
+
+
+def test_concavity_gap_bounds_the_maximum_at_random_points():
+    from pspectral.solver import _concavity_gap
+    rng = np.random.default_rng(41)
+    graphs = 0
+    while graphs < 12:
+        G = random_graph(rng, weighted=graphs % 2 == 1)
+        if not ps.is_connected(G):
+            continue
+        graphs += 1
+        for p in (float(G.rank), G.rank + 0.5, G.rank + 2.0):
+            top = ps.lambda_max(G, p, FAST).value
+            for _ in range(6):
+                x = ps.normalize_lp(rng.uniform(0.05, 1.0, G.n_vertices), p)
+                lam = ps.evaluate(G, x)
+                assert top <= lam + _concavity_gap(G, p, x, lam) + FAST.tol
+
+
+def test_maximum_at_p_ge_r_stops_at_its_first_certified_restart():
+    res = ps.lambda_max(ps.random_gnp(4, 25, 0.45, 1), 4.0, POOL)
+    assert res.restarts_used == 1
+    rng = np.random.default_rng(43)
+    stopped = 0
+    for i in range(16):
+        G = random_graph(rng, weighted=i % 2 == 1)
+        p = G.rank + float(rng.choice([0.0, 0.5, 2.0]))
+        res = ps.lambda_max(G, p, FAST)
+        if res.restarts_used < FAST.restarts:
+            stopped += 1
+            assert res.status == "converged"
+            assert res.gap <= FAST.tol * max(1.0, res.value)
+    assert stopped > 0
+
+
+def test_odd_transversal_minimum_runs_no_minimum_restart(monkeypatch):
+    # case 93's part graph in the pool fixture, with the odd transversal
+    # {3, 5}: beside its flipped maximizer, which is optimal, restarts of the
+    # descent ran all 100,000 iterations
+    from pspectral import solver
+    senses = []
+    real = solver._sphere_loop
+    monkeypatch.setattr(solver, "_sphere_loop",
+                        lambda *a: senses.append(a[5]) or real(*a))
+    G = ps.from_edge_list(2, 6, [(1, 5), (2, 3), (3, 4), (4, 5)])
+    opts = ps.SolveOptions(tol=1e-9, restarts=3, seed=2024)
+    top = ps.lambda_max(G, 1.179, opts)
+    bot = ps.lambda_min(G, 1.179, opts)
+    assert bot.value == -top.value
+    assert bot.restarts_used == 1 and bot.status == top.status
+    assert senses and -1.0 not in senses
+
+
 # even-rank minimum: sphere descent with the Newton polish --------------------
 
 POOL = ps.SolveOptions(tol=1e-9, restarts=4, seed=2024)
@@ -235,7 +304,7 @@ def test_min_restarts_never_end_above_their_start():
         if ps.odd_transversal(G) is None:
             cases.append((G, float(rng.uniform(1.1, G.rank + 1.0))))
     for G, p in cases:
-        starts = _min_starts(G, p, POOL, [], None)
+        starts = _min_starts(G, p, POOL, [])
         outs = ps.solve_restarts(G, p, "min", POOL)
         assert len(outs) == len(starts)
         for x0, (lam, _, _) in zip(starts, outs):
@@ -446,8 +515,8 @@ def test_odd_rank_curve_solves_each_maximum_once(monkeypatch):
 
 
 def test_even_rank_curve_solves_each_maximum_once(monkeypatch):
-    # the odd transversal {1, 3} of the 4-cycle makes the flipped maximum a
-    # start of the minimum: the curve hands over its own maximum
+    # the odd transversal {1, 3} of the 4-cycle makes the flipped maximum the
+    # minimum: the curve hands over its own maximum
     from pspectral import solver
     calls = []
     real = solver.lambda_max
@@ -525,7 +594,7 @@ GOLDEN = {
         "19cf07cb2fa7c57c4ac571d8aa3eb25b67cd823e5e0912e7deac9e6124e85cea", 6),
     "min-odd-transversal": (
         lambda: ps.lambda_min(ps.cycle(2, 6), 2.0, FAST), "-0x1.0000000000001p+1",
-        "eaa04c19a9d0bd5b83733717360ac1c7b18de8fa258101894c4f512790f9768b", 1),
+        "4c8a006d9ab9ba84927f1ad23b3daf0d6d340f5c18dd38b5d6860d8f85eff1e9", 11),
     "min-even-p1.5": (
         lambda: ps.lambda_min(ps.cycle(2, 5), 1.5, FAST), "-0x1.0f9faf511547ap+0",
         "e99ddbad1fb9855ab1775618bd6e28739c27c013ad17c66e1a5b3621fd973622", 5),
@@ -536,8 +605,8 @@ GOLDEN = {
         lambda: ps.lambda_min(ps.cycle(2, 7), 1.0, FAST), "-0x1.0000000000001p-1",
         "ae55ad1bf617fff138affb50375f4fa4aa2aed60f8c58f37f3347261fb030ad1", 11),
     "min-p1-flip-orthant": (
-        lambda: ps.lambda_min(ps.cycle(2, 8), 1.0, FAST), "-0x1.0000000000001p-1",
-        "d3b8e2f5c9461ca57e85a7f189ef57a99e879970d116840c93b3742701fedfff", 3),
+        lambda: ps.lambda_min(ps.cycle(2, 8), 1.0, FAST), "-0x1.0000000000000p-1",
+        "8a8151318c2b3b89f77047028d340be3969d25a8a9a099a9373f0f13d42406fe", 15),
     "min-p1-rank4": (
         lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 1.0, FAST), "-0x1.4657ca3846e39p-3",
         "ace9b6508bd56e7fbb98f0a19fdc23f190c5a62a87524e83bac0b5e3adc9b4eb", 24),
