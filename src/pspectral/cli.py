@@ -10,6 +10,7 @@ parse error, 2 best-effort or a false predicate.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -94,7 +95,7 @@ def _report_base(args, command, digest) -> dict:
     # the inert --parallel flag is excluded so runs with and without it
     # produce identical reports
     echo = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "json", "parallel") and v is not None}
+            if k not in ("json", "parallel") and v is not None}
     return {"command": command, "args": echo, "input_digest": digest}
 
 
@@ -274,7 +275,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    parts = tuple(int(s) for s in args.parts.split(",")) if args.parts else None
+    try:
+        parts = tuple(int(s) for s in args.parts.split(",")) if args.parts else None
+    except ValueError:
+        return _fail(f"--parts must be comma-separated integers, got {args.parts!r}")
     spec = hg.FamilySpec(family="complete-multipartite"
                          if args.family == "multipartite" else args.family,
                          r=args.r, n=args.n, k=args.k, t=args.t, parts=parts)
@@ -295,6 +299,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.trials < 1:
+        return _fail("--trials must be at least 1")
     q = args.q
     opts = _opts(args, default_restarts=4)
     t0 = time.perf_counter()
@@ -334,30 +340,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--vector", action="store_true", help="print the eigenvector")
     sp.add_argument("--parallel", action="store_true",
                     help="accepted for compatibility; no effect (restarts run serially)")
-    sp.set_defaults(func=cmd_compute)
 
     sp = sub.add_parser("bounds", help="solve, then audit every applicable bound")
     _add_common(sp)
-    sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("check", help="run one combinatorial predicate")
     _add_common(sp, sphere=False, solve=False)
     sp.add_argument("--property", choices=PROPERTIES, required=True)
     sp.add_argument("--k", type=int, default=None)
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("curve", help="values along an exponent grid, CSV output")
     _add_common(sp)
     sp.add_argument("--p-from", type=float, required=True)
     sp.add_argument("--p-to", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("oracle", help="sampling-plus-polish estimate (small graphs)")
     _add_common(sp, solve=False)
     sp.add_argument("--target", choices=("max", "min"), default="max")
     sp.add_argument("--samples", type=int, default=10_000)
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("construct", help="write a standard family graph to file")
     sp.add_argument("--family", choices=FAMILIES, required=True)
@@ -370,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_construct)
 
     sp = sub.add_parser("random", help="seeded binomial-graph scaling check")
     sp.add_argument("--r", type=int, required=True)
@@ -382,17 +382,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_random)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one command.  The parser is built on the first call and reused;
+    the handler `cmd_<command>` is looked up in this module at each call, so
+    a replaced handler runs."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.cmd}"](args)
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -36,7 +36,10 @@ Algorithm map
     x . grad / r.  Once an iterate's relative residual is at most 1e-2 (or
     after 500 iterations) Newton on the stationarity system polishes it, at
     the first such iterate of each chunk and at the chunk's end, in the dual
-    point u = sign(x)|x|^(p-1) for p < 2.
+    point u = sign(x)|x|^(p-1) for p < 2.  Each Newton step is an LU solve
+    of the square (n+1)-system, with a least-squares (SVD) solve as the
+    fallback when LU finds it singular or its step is not finite; on the
+    p = 1 face every step is the least-squares one.
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
@@ -387,9 +390,15 @@ def _newton_stationary(G, p, x, lam, tol):
     z but not damped by the defect: near a soft minimum (curvature 1e-4 of
     the largest) a defect line search takes tiny steps for as long as the
     descent itself, and the caller's acceptance test guards the result.
+    For p > 1 the system is square in all n coordinates and lam, and each
+    step is an LU solve (`np.linalg.solve`); `np.linalg.lstsq` (an SVD, about
+    ten times dearer at n = 40) takes over only when the LU solve finds the
+    matrix singular or returns a step that is not finite.
     At p = 1 (z = x) it is the KKT system of the face of the l^1 sphere that
     x lies on, in lam and the support S of x only; a step that would zero or
     flip a coordinate of S stops there and drops it, so x stays on the face.
+    That system is singular where the face holds a flat set of optima, so
+    every step there is the minimum-norm `lstsq` step.
     Returns the point reached, scaled onto the unit sphere, or None when a
     step is not finite.  Call under np.errstate: a long step may overflow.
     """
@@ -398,27 +407,36 @@ def _newton_stationary(G, p, x, lam, tol):
     c, q = a * (p - 1.0), a * p     # sign(x)|x|^(p-1) = sign(z)|z|^c, |x|^p = |z|^q
     z, mu = _signed_power(x, 1.0 / a), lam
     face = p == 1.0
-    S = np.flatnonzero(x) if face else np.arange(x.size)
+    S = np.flatnonzero(x) if face else slice(None)
     sgn = np.sign(x)
+    F_buf = np.empty(x.size + 1)
+    J_buf = np.empty((x.size + 1, x.size + 1))
     for _ in range(_NEWTON_STEPS):
         xz = _signed_power(z, a)
         zS = z[S]
-        F = np.append(mu * _signed_power(zS, c) - gradient(G, xz)[S] / r,
-                      np.sum(np.abs(zS) ** q) - 1.0)
+        k = zS.size
+        F, J = F_buf[:k + 1], J_buf[:k + 1, :k + 1]
+        np.subtract(mu * _signed_power(zS, c), gradient(G, xz)[S] / r, out=F[:k])
+        F[k] = np.sum(np.abs(zS) ** q) - 1.0
         if not np.all(np.isfinite(F)):
             return None
         if np.abs(F).max() <= 1e-3 * tol:
             break
-        k = S.size
         az = np.abs(zS)
-        J = np.zeros((k + 1, k + 1))
-        J[:k, :k] = hessian(G, xz)[np.ix_(S, S)] * (-a / r * az ** (a - 1.0))
+        H = hessian(G, xz)
+        np.multiply(H[np.ix_(S, S)] if face else H, -a / r * az ** (a - 1.0), out=J[:k, :k])
         J[range(k), range(k)] += mu * c * az ** (c - 1.0)
         J[:k, k] = _signed_power(zS, c)
         J[k, :k] = q * _signed_power(zS, q - 1.0)
+        J[k, k] = 0.0
         if not np.all(np.isfinite(J)):
             return None
-        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        try:
+            step = None if face else np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step = None
+        if step is None or not np.all(np.isfinite(step)):
+            step = np.linalg.lstsq(J, -F, rcond=None)[0]
         big = np.abs(step[:k]).max()
         if big > _NEWTON_MAX_STEP:
             step *= _NEWTON_MAX_STEP / big
@@ -459,8 +477,12 @@ def _wrong_curvature(G, p, x, lam, sense):
     L[np.diag_indices_from(L)] -= G.rank * lam * (p - 1.0) * a * a * az ** (a * p - 2.0)
     nu = _signed_power(z, a * p - 1.0)
     nu /= np.linalg.norm(nu)
-    proj = np.eye(x.size) - np.outer(nu, nu)
-    S = -sense * (proj @ L @ proj)
+    # the projection (I - nu nu^T) L (I - nu nu^T) as rank-one updates of L
+    w = L @ nu
+    L -= np.outer(nu, w)
+    L -= np.outer(w, nu)
+    L += (nu @ w) * np.outer(nu, nu)
+    S = -sense * L
     evals, evecs = np.linalg.eigh(S)
     slack = 1e-7 * max(1.0, float(np.abs(S).max()))
     return float(evals[0]) + slack, evecs[:, 0], z

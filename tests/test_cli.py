@@ -125,6 +125,34 @@ def test_usage_error_exit_one(capsys):
     assert code == 1
 
 
+def _first_call(argv):
+    """Exit code and stdout of `argv` run as the first call of a fresh process."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ps.__file__)))
+    out = subprocess.run([sys.executable, "-m", "pspectral.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=60)
+    return out.returncode, out.stdout
+
+
+def test_reused_parser_matches_a_first_call(capsys, c4, monkeypatch):
+    from pspectral import cli
+    compute = ["compute", "--input", c4, "--p", "2", "--json"]
+    usage = ["compute", "--p", "2"]
+    bounds = ["bounds", "--input", c4, "--p", "2", "--json"]
+    builds = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real_build())
+    cli._parser.cache_clear()
+    handled = []
+    real_bounds = cli.cmd_bounds
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: handled.append(1) or real_bounds(args))
+    seen = [run(capsys, argv)[:2] for argv in (compute, usage, bounds, compute)]
+    assert builds == [1]
+    assert handled == [1]  # a replaced handler runs with the cached parser
+    expected = [_first_call(argv) for argv in (compute, usage, bounds)]
+    assert seen == expected + expected[:1]
+    assert seen[1][0] == 1
+
+
 def test_json_determinism_serial_parallel(capsys, k33):
     argv = ["compute", "--input", k33, "--p", "3", "--seed", "7", "--json", "--vector"]
     _, out1, _ = run(capsys, argv)
@@ -253,6 +281,9 @@ def test_construct_families(capsys, tmp_path):
                               "--parts", "2,2,2", "--out", out_path])
     assert code == 0
     assert ps.read_file(out_path) == ps.complete_multipartite(3, [2, 2, 2])
+    code, _, err = run(capsys, ["construct", "--family", "multipartite", "--r", "3",
+                                "--parts", "2,x", "--out", out_path])
+    assert code == 1 and "--parts" in err  # was an uncaught ValueError
 
 
 def test_random_cmd(capsys):
@@ -264,3 +295,10 @@ def test_random_cmd(capsys):
     _, out2, _ = run(capsys, ["random", "--r", "3", "--n", "12", "--prob", "0.5",
                               "--q", "2", "--trials", "2", "--seed", "1", "--json"])
     assert out == out2  # byte-identical reruns
+
+
+def test_random_rejects_fewer_than_one_trial(capsys):
+    for trials in ("0", "-1"):
+        code, out, err = run(capsys, ["random", "--r", "3", "--n", "6", "--prob", "0.5",
+                                      "--q", "2", "--trials", trials, "--json"])
+        assert code == 1 and out == "" and "--trials" in err, trials
