@@ -261,6 +261,8 @@ def cmd_curve(args) -> int:
 
 def cmd_oracle(args) -> int:
     G, digest = _load(args)
+    if args.samples < 1:
+        return _fail("--samples must be at least 1")
     p = args.p if args.p is not None else 2.0
     t0 = time.perf_counter()
     try:

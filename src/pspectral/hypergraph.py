@@ -270,22 +270,24 @@ def turan(n: int, k: int) -> WeightedHypergraph:
 
 def construct(spec: FamilySpec) -> WeightedHypergraph:
     """Build the unweighted graph described by a FamilySpec."""
-    f = spec.family
-    if f == "complete":
-        return complete(spec.r, spec.n)
-    if f == "single-edge":
-        return single_edge(spec.r)
-    if f == "cycle":
-        return cycle(spec.r, spec.n)
-    if f == "beta-star":
-        return beta_star(spec.r, spec.k)
-    if f == "t-star":
-        return t_star(spec.r, spec.t, spec.n)
-    if f == "complete-multipartite":
-        return complete_multipartite(spec.r, spec.parts)
-    if f == "turan":
-        return turan(spec.n, spec.k)
-    raise ValueError(f"unknown family {f!r}")
+    families = {
+        "complete": (complete, ("r", "n")),
+        "single-edge": (single_edge, ("r",)),
+        "cycle": (cycle, ("r", "n")),
+        "beta-star": (beta_star, ("r", "k")),
+        "t-star": (t_star, ("r", "t", "n")),
+        "complete-multipartite": (complete_multipartite, ("r", "parts")),
+        "turan": (turan, ("n", "k")),
+    }
+    if spec.family not in families:
+        raise ValueError(f"unknown family {spec.family!r}")
+    build, names = families[spec.family]
+    missing = [name for name in names if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"family {spec.family!r} is missing parameter"
+                         f"{'s' if len(missing) > 1 else ''} "
+                         + ", ".join(repr(name) for name in missing))
+    return build(*(getattr(spec, name) for name in names))
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,25 @@ Algorithm map
     one): flipping signs on T negates every edge product, so the minimum is
     the maximizer with signs flipped on T, at every rank and p, and no
     minimum restart runs.
-  target min, even rank, otherwise: `_sphere_loop` on the full sphere,
-    stepping by projected gradient descent, from sign-randomized restarts
-    plus the best -1/0/+1 sign pattern for n <= 6.
+  target min, even rank, otherwise: `_sphere_loop` on the full sphere, from
+    sign-randomized restarts plus the best -1/0/+1 sign pattern for n <= 6,
+    stepping in the coordinate Newton solves in.  At 1 < p < 2 that is the
+    dual point sign(x)|x|^(p-1), and the step is the shifted map applied to
+    -P (`_fixed_point_step` with sense -1), shift max(r-p, 1)/(p-1) * |lam|,
+    with an Armijo step as its last resort: near p = 1 the minimizer has
+    tiny entries, and descent in x crawled thousands of iterations toward
+    them.  At p >= 2 it is x itself, stepped by projected gradient descent.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
     iterations; both steps cost one gradient per iterate or trial (two on a
     fixed-point fallback), its value taken by the Euler identity
     x . grad / r.  Once an iterate's relative residual is at most 1e-2 (or
-    after 500 iterations) Newton on the stationarity system polishes it, at
-    the first such iterate of each chunk and at the chunk's end, in the dual
-    point u = sign(x)|x|^(p-1) for p < 2.  Each Newton step is an LU solve
-    of the square (n+1)-system, with a least-squares (SVD) solve as the
-    fallback when LU finds it singular or its step is not finite; on the
-    p = 1 face every step is the least-squares one.
+    after 500 iterations, or when the value has stopped moving) Newton on the
+    stationarity system polishes it, at the first such iterate of each chunk
+    and at the chunk's end, in the dual point u = sign(x)|x|^(p-1) for p < 2.
+    Each Newton step is an LU solve of the square (n+1)-system, with a
+    least-squares (SVD) solve as the fallback when LU finds it singular or
+    its step is not finite; on the p = 1 face every step is the
+    least-squares one.
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
@@ -220,41 +226,52 @@ def _armijo_step(G, p, x, lam, g, eta):
     return None
 
 
-def _shifted_image(G, p, x, g, rho):
-    """The image of x under the map with shift rho, its Euler value and its
-    gradient; None when the map is undefined (no positive entry)."""
-    s = g / G.rank + rho * x ** (p - 1.0)
-    top = s.max()
+def _shifted_image(G, p, x, g, rho, sense):
+    """The image of x under the map with shift rho for the extremum `sense`,
+    its Euler value and its gradient; None when the map is undefined (the
+    maximum's s has no positive entry, the minimum's is zero)."""
+    s = sense * g / G.rank + rho * _signed_power(x, p - 1.0)
+    top = s.max() if sense > 0 else np.abs(s).max()
     if top <= 0.0:
         return None
-    y = normalize_lp((s / top) ** (1.0 / (p - 1.0)), p)
+    y = normalize_lp(_signed_power(s / top, 1.0 / (p - 1.0)), p)
     g_y = gradient(G, y)
     return y, float(y @ g_y) / G.rank, g_y
 
 
-def _fixed_point_step(cap):
+def _fixed_point_step(cap, sense=1.0):
     """The shifted fixed-point map (SS-HOPM: Kolda & Mayo, SIMAX 32, 2011) as
-    a step of `_sphere_loop`, with a shift that scales with the value.
+    a step of `_sphere_loop` toward the extremum `sense`, with a shift that
+    scales with the value: s = sense*grad/r + rho*sign(x)|x|^(p-1),
+    x <- normalize(sign(s)|s|^(1/(p-1))).
 
     At a positive stationary point x, Euler's identity makes x the Perron
     vector of the pencil (H/r, (p-1) diag(x^(p-2))) with root (r-1)lam/(p-1),
     so every other mode mu has |mu| <= (r-1)lam/(p-1) (and mu <= lam at a
     local maximum), and the map contracts it by (mu + rho)/(lam + rho),
     inside (-1, 1) once rho >= (r-p)lam/(2(p-1)).  The step therefore shifts by
-    rho = min(cap, max(r-p, 1)/(p-1) * max(lam, 0)), `cap` being
-    `default_shift`, and keeps the image when its value, by the Euler
-    identity at its gradient, falls below lam by at most 1e-14 relative.
-    Otherwise it steps once more with the worst-case shift cap/min(1, p-1):
-    below p = 2 the curvature (p-1)x^(p-2) of the shift term shrinks with
-    p - 1, and `cap` alone let rank-2 steps at p = 1.1 go downhill.
-    Returns (x, lam, eta, g) at the image, or None when the map is undefined.
+    rho = min(cap, max(r-p, 1)/(p-1) * |lam|), `cap` being `default_shift`,
+    and keeps the image when its value, by the Euler identity at its
+    gradient, moves against `sense` by at most 1e-14 relative.  Otherwise it
+    steps once more with the worst-case shift cap/min(1, p-1): below p = 2
+    the curvature (p-1)x^(p-2) of the shift term shrinks with p - 1, and
+    `cap` alone let rank-2 steps at p = 1.1 go downhill.
+    The minimum (sense -1) is the maximum of -P over the whole sphere, its
+    map a step in the dual point sign(x)|x|^(p-1), where Newton works too;
+    when the worst-case image also rises, it takes `_armijo_step` instead.
+    Returns (x, lam, eta, g) at the new point, or None when the map is
+    undefined (the maximum) or no step lowers the value (the minimum).
     """
     def step(G, p, x, lam, g, eta):
+        def off(moved):
+            return moved is None or sense * (lam - moved[1]) > 1e-14 * max(1.0, abs(lam))
         worst = cap / min(1.0, p - 1.0)
-        rho = min(cap, max(G.rank - p, 1.0) / (p - 1.0) * max(lam, 0.0))
-        moved = _shifted_image(G, p, x, g, rho) if rho < worst else None
-        if moved is None or lam - moved[1] > 1e-14 * max(1.0, abs(lam)):
-            moved = _shifted_image(G, p, x, g, worst)
+        rho = min(cap, max(G.rank - p, 1.0) / (p - 1.0) * abs(lam))
+        moved = _shifted_image(G, p, x, g, rho, sense) if rho < worst else None
+        if off(moved):
+            moved = _shifted_image(G, p, x, g, worst, sense)
+        if sense < 0 and off(moved):
+            return _armijo_step(G, p, x, lam, g, eta)
         if moved is None:
             return None
         y, lam_y, g_y = moved
@@ -268,6 +285,9 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     `_newton_polish` once the relative residual is at most 1e-2 or the
     restart has run 500 iterations: at the first such iteration of each
     chunk, at the chunk's end, and when the step stops short of tol.  A
+    restart whose value has not moved for 50 iterations gets one last try
+    whatever its residual: a vertex near 1e-28 in x (0.04 in the dual point)
+    can keep the residual just above the gate while the value is flat.  A
     polished point that meets tol ends the restart; a step off a saddle
     resumes the iteration; a failed try waits for the next chunk.  The
     maximum (sense +1) stays on the nonnegative part of the sphere.
@@ -298,11 +318,10 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
         if stable >= _STABLE_ITERS:
             met = True
             break
-        moved = None
-        if stalled < 5 * _STABLE_ITERS:
-            moved = step(G, p, x, lam, g, eta)
+        stuck = stalled >= 5 * _STABLE_ITERS
+        moved = None if stuck else step(G, p, x, lam, g, eta)
         polish = res > tol and (res <= _NEWTON_GATE * max(1.0, abs(lam))
-                                or it >= _NEWTON_AFTER) and (
+                                or it >= _NEWTON_AFTER or stuck) and (
             armed or moved is None or it == check_at or it == max_iter)
         # a try at a chunk's end is the next chunk's try
         armed = not polish and (armed or it == check_at)
@@ -718,7 +737,10 @@ def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bo
             certified = top.status == "converged"
             return [_Cand(x, evaluate(G, x), top.residual, top.iterations, certified)], certified
         sense, certified = -1.0, False
-        cands = [_run_start(G, p, x0, opts, sense, _armijo_step)
+        # the first-order step moves the coordinate Newton solves in
+        step = (_fixed_point_step(default_shift(G), sense) if _z_exponent(p) > 1.0
+                else _armijo_step)
+        cands = [_run_start(G, p, x0, opts, sense, step)
                  for x0 in _min_starts(G, p, opts, extra)]
     if p == 1.0:
         cands = _refine_tied_simplex(G, cands, sense, opts.tol)
@@ -763,7 +785,8 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
     When the support has an odd transversal (always at odd rank) the minimum
     is the negated maximum, attained by the maximizer with signs flipped on
     the transversal, and takes the maximum's status; otherwise even rank runs
-    sign-randomized descent.
+    sign-randomized restarts of the shifted map on -P in the dual point at
+    1 < p < 2, and of projected gradient descent at p >= 2.
     """
     return _solve(G, check_exponent(p), opts or SolveOptions(), "min", initial_vectors)
 

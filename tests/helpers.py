@@ -47,6 +47,18 @@ def criterion7_draws(count: int) -> list[tuple[ps.WeightedHypergraph, float]]:
     return draws
 
 
+def min_fuzz_cases() -> list[tuple[ps.WeightedHypergraph, float]]:
+    """The 40 (graph, p) cases of the even-rank minimum fuzz: ranks 2 and 4,
+    4 to 9 vertices, every other graph weighted, p from 1.01 to 6.5.  They
+    are solved with MIN_FUZZ options."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for i in range(40):
+        G = random_graph(rng, r=int(rng.choice([2, 4])), n_lo=4, n_hi=9, weighted=i % 2)
+        cases.append((G, float(rng.choice([1.01, 1.05, 1.3, 1.7, 2, 3, 4, 6.5]))))
+    return cases
+
+
 def fano() -> ps.WeightedHypergraph:
     """The 7-point, 7-line Steiner triple system."""
     lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
@@ -60,3 +72,4 @@ def path(n: int) -> ps.WeightedHypergraph:
 
 FAST = ps.SolveOptions(tol=1e-10, restarts=8, seed=11)
 TIGHT = ps.SolveOptions(tol=1e-11, restarts=16, seed=11)
+MIN_FUZZ = ps.SolveOptions(tol=1e-9, restarts=4, seed=7)

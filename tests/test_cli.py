@@ -263,6 +263,14 @@ def test_oracle_cmd(capsys, c4):
     assert "oracle = -2.00" in out
 
 
+def test_oracle_rejects_fewer_than_one_sample(capsys, c4):
+    # the sampler used to raise such a count to 100 silently
+    for samples in ("0", "-5"):
+        code, out, err = run(capsys, ["oracle", "--input", c4, "--p", "2",
+                                      "--samples", samples, "--json"])
+        assert code == 1 and out == "" and "--samples" in err, samples
+
+
 def test_construct_families(capsys, tmp_path):
     out_path = str(tmp_path / "b.json")
     code, out, _ = run(capsys, ["construct", "--family", "beta-star", "--r", "3",
@@ -284,6 +292,12 @@ def test_construct_families(capsys, tmp_path):
     code, _, err = run(capsys, ["construct", "--family", "multipartite", "--r", "3",
                                 "--parts", "2,x", "--out", out_path])
     assert code == 1 and "--parts" in err  # was an uncaught ValueError
+    # a missing parameter is named; these printed a TypeError's text
+    for argv, name in ((["--family", "complete", "--r", "3"], "'n'"),
+                       (["--family", "t-star", "--r", "3", "--n", "5"], "'t'"),
+                       (["--family", "multipartite", "--r", "3", "--parts", ""], "'parts'")):
+        code, _, err = run(capsys, ["construct", *argv, "--out", out_path])
+        assert code == 1 and "missing parameter " + name in err, argv
 
 
 def test_random_cmd(capsys):
