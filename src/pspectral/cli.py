@@ -303,6 +303,8 @@ def cmd_construct(args) -> int:
 def cmd_random(args) -> int:
     if args.trials < 1:
         return _fail("--trials must be at least 1")
+    if not args.prob > 0:
+        return _fail("--prob must be positive")
     q = args.q
     opts = _opts(args, default_restarts=4)
     t0 = time.perf_counter()

@@ -57,7 +57,7 @@ class PointOnSphere:
         check_exponent(self.p)
         if self.normalized and self.coords.size:
             defect = abs(lp_norm(self.coords, self.p) - 1.0)
-            if defect > 1e-12:
+            if not defect <= 1e-12:     # a NaN defect fails too
                 raise ValueError(f"vector is off the unit sphere by {defect:.3e}")
 
     @classmethod

@@ -49,6 +49,9 @@ Algorithm map
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
+  Both backtracking searches, `_armijo_step` and the p = 1 simplex step,
+    halve their step at most `_MAX_HALVINGS` (10) times; a search that finds
+    no progress within that budget takes no step, as at a stationary point.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort"; "converged"
@@ -68,11 +71,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import odd_transversal
-from .hypergraph import WeightedHypergraph
+from .hypergraph import WeightedHypergraph, _as_int
 from .polyform import (PointOnSphere, _loo_gradient, check_exponent, evaluate,
                        evaluate_many, gradient, hessian, lp_norm, normalize_lp)
 
 _STABLE_ITERS = 10
+# step halvings per backtracking search (`_armijo_step`, `_pgd_simplex`): no
+# successful search in the tests needs more than 6, and a converged restart
+# proves itself by a search that fails every trial
+_MAX_HALVINGS = 10
 _MAX_EDGE_STARTS = 8
 _PATTERN_MAX_N = 6      # all 3^n sign patterns, or 2^(n-1) at p = 1, are tried
 # _sphere_loop's Newton polish (see its docstring); tried earlier than the
@@ -107,12 +114,14 @@ class SolveOptions:
     parallel: bool = False        # no effect
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.restarts < 1:
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
+        if _as_int(self.restarts, "restarts") < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iter < 1:
+        if _as_int(self.max_iter, "iteration cap") < 1:
             raise ValueError(f"iteration cap must be positive, got {self.max_iter}")
+        if _as_int(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -155,7 +164,8 @@ def eigen_residual(G: WeightedHypergraph, p: float, lam: float, x: np.ndarray) -
     if p == 1.0:
         raise ValueError("stationarity residual is undefined at p = 1")
     x = np.asarray(x, dtype=np.float64)
-    if abs(lp_norm(x, p) - 1.0) > 1e-9:
+    # written so that a NaN entry fails the test
+    if not abs(lp_norm(x, p) - 1.0) <= 1e-9:
         raise ValueError("residual requires a unit vector in the l^p norm")
     return _residual_from_grad(G.rank, p, lam, x, gradient(G, x))
 
@@ -205,13 +215,14 @@ class _Cand:
 def _armijo_step(G, p, x, lam, g, eta):
     """One retracted step down the projected gradient, halving eta until the
     value, by the Euler identity at the trial's gradient, decreases; returns
-    (x, lam, eta, g) or None when no step decreases it."""
+    (x, lam, eta, g), or None when no step within `_MAX_HALVINGS` halvings
+    decreases it."""
     normal = _signed_power(x, p - 1.0)
     nn = float(normal @ normal)
     d = g - (float(g @ normal) / nn) * normal if nn > 0 else g
     if eta is None:
         eta = 1.0 / max(1.0, float(np.abs(d).max()))
-    for k in range(60):
+    for k in range(_MAX_HALVINGS):
         trial = x - eta * d
         nrm = lp_norm(trial, p)
         if nrm > 0.0:
@@ -523,7 +534,9 @@ def _simplex_value(idx, w, y) -> float:
 
 
 def _pgd_simplex(n, idx, w, y0, tol, max_iter, sense) -> _Cand:
-    """Projected gradient over the probability simplex; weights may be signed."""
+    """Projected gradient over the probability simplex; weights may be signed.
+    The run ends, as converged, when no step within `_MAX_HALVINGS` halvings
+    improves the value."""
     y = _project_simplex(np.asarray(y0, dtype=np.float64))
     val = _simplex_value(idx, w, y)
     val_prev = None
@@ -538,7 +551,7 @@ def _pgd_simplex(n, idx, w, y0, tol, max_iter, sense) -> _Cand:
             return _Cand(y, val, math.nan, it, True)
         if eta is None:
             eta = 1.0 / max(1.0, float(np.abs(g).max()))
-        for k in range(60):
+        for k in range(_MAX_HALVINGS):
             trial = _project_simplex(y + sense * eta * g)
             val_t = _simplex_value(idx, w, trial)
             if sense * (val_t - val) > 1e-14 * max(1.0, abs(val)):
@@ -882,9 +895,10 @@ def collatz_wielandt(G: WeightedHypergraph, p: float, x: np.ndarray) -> tuple[fl
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (G.n_vertices,):
         raise ValueError(f"vector has shape {x.shape}, expected ({G.n_vertices},)")
-    if np.any(x <= 0.0):
+    # written so that a NaN entry fails each test
+    if not np.all(x > 0.0):
         raise ValueError("the envelope requires a strictly positive vector")
-    if abs(lp_norm(x, p) - 1.0) > 1e-9:
+    if not abs(lp_norm(x, p) - 1.0) <= 1e-9:
         raise ValueError("the envelope requires a unit vector in the l^p norm")
     quot = gradient(G, x) / G.rank * x ** (1.0 - p)
     return float(quot.min()), float(quot.max())

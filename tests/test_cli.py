@@ -118,6 +118,15 @@ def test_non_finite_or_non_integer_input_exit_one(capsys, tmp_path):
         assert msg in err, name
 
 
+def test_non_finite_tol_or_negative_seed_exits_one(capsys, c4):
+    # --tol inf would stop every restart at once and report converged
+    for tol in ("inf", "nan"):
+        code, out, err = run(capsys, ["compute", "--input", c4, "--p", "2", "--tol", tol])
+        assert code == 1 and out == "" and "tolerance must be positive and finite" in err, tol
+    code, out, err = run(capsys, ["compute", "--input", c4, "--p", "2", "--seed", "-1"])
+    assert code == 1 and out == "" and "seed must be nonnegative" in err
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run(capsys, ["compute", "--p", "2"])
     assert code == 1
@@ -309,6 +318,13 @@ def test_random_cmd(capsys):
     _, out2, _ = run(capsys, ["random", "--r", "3", "--n", "12", "--prob", "0.5",
                               "--q", "2", "--trials", "2", "--seed", "1", "--json"])
     assert out == out2  # byte-identical reruns
+
+
+def test_random_rejects_a_zero_probability(capsys):
+    # the reported ratio divides by prob * n^(r - r/q)
+    code, out, err = run(capsys, ["random", "--r", "2", "--n", "4", "--prob", "0",
+                                  "--q", "2"])
+    assert code == 1 and out == "" and "--prob must be positive" in err
 
 
 def test_random_rejects_fewer_than_one_trial(capsys):

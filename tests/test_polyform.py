@@ -213,3 +213,8 @@ def test_point_on_sphere_validation():
         ps.PointOnSphere(x, 0.5)
     y = ps.PointOnSphere.project(np.array([3.0, 4.0]), 2.0)
     assert ps.lp_norm(y.coords, 2.0) == pytest.approx(1.0)
+
+
+def test_point_on_sphere_rejects_nan():
+    with pytest.raises(ValueError, match="off the unit sphere"):
+        ps.PointOnSphere(np.array([np.nan, 1.0]), 2.0)

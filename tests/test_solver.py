@@ -97,6 +97,52 @@ def test_solve_options_validation():
         ps.lambda_max(ps.single_edge(2), 0.9, FAST)
 
 
+def test_solve_options_reject_non_finite_tol_and_non_integer_counts():
+    # an infinite tol would stop every restart at once: cycle(2,5) at p = 1.5
+    # would return 1.155890669 instead of 1.169607095
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ps.SolveOptions(tol=tol)
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        ps.SolveOptions(restarts=2.5)
+    with pytest.raises(ValueError, match="iteration cap must be an integer"):
+        ps.SolveOptions(max_iter=2.5)
+    # else numpy's SeedSequence raises TypeError, or a message naming no option
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ps.SolveOptions(seed=2.5)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ps.SolveOptions(seed=-1)
+    assert ps.SolveOptions(restarts=np.int64(3), max_iter=np.int32(7)).restarts == 3
+
+
+# backtracking budget -----------------------------------------------------------
+
+def test_converged_simplex_search_stops_within_the_halving_budget(monkeypatch):
+    # the uniform start is the maximizer, so the first search fails every
+    # trial: one projection for the start plus one per trial
+    from pspectral import solver
+    calls = []
+    real = solver._project_simplex
+    monkeypatch.setattr(solver, "_project_simplex", lambda v: calls.append(1) or real(v))
+    res = ps.lambda_max(ps.single_edge(2), 1.0, ps.SolveOptions(restarts=1))
+    assert res.value == 0.5 and res.status == "converged"
+    assert len(calls) <= 1 + solver._MAX_HALVINGS
+
+
+def test_failing_armijo_search_stops_within_the_halving_budget(monkeypatch):
+    # at the minimizer no trial lowers the value: one gradient per trial
+    from pspectral import solver
+    G = ps.single_edge(2)
+    x = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    g = ps.gradient(G, x)
+    lam = float(x @ g) / G.rank
+    calls = []
+    real = solver.gradient
+    monkeypatch.setattr(solver, "gradient", lambda G, x: calls.append(1) or real(G, x))
+    assert solver._armijo_step(G, 2.0, x, lam, g, None) is None
+    assert 0 < len(calls) <= solver._MAX_HALVINGS
+
+
 # maximum at 1 < p < r: the fixed point with the Newton polish ---------------
 
 BASELINE = ps.SolveOptions(tol=1e-10, restarts=8, seed=11)
@@ -447,6 +493,11 @@ def test_eigen_residual_rejects_p1_and_off_sphere():
         ps.eigen_residual(K, 2.0, 1.0, np.ones(3))
 
 
+def test_eigen_residual_rejects_nan_vectors():
+    with pytest.raises(ValueError, match="unit vector"):
+        ps.eigen_residual(ps.cycle(2, 4), 2.0, 1.0, [math.nan, 0.5, 0.5, 0.5])
+
+
 def test_converged_results_report_small_residual():
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -565,6 +616,11 @@ def test_collatz_wielandt_validation():
         ps.collatz_wielandt(G, 1.0, np.full(4, 0.25))
     with pytest.raises(ValueError, match="unit vector"):
         ps.collatz_wielandt(G, 2.0, np.full(4, 0.9))
+
+
+def test_collatz_wielandt_rejects_nan_vectors():
+    with pytest.raises(ValueError, match="positive"):
+        ps.collatz_wielandt(ps.cycle(2, 4), 2.0, np.array([math.nan, 0.5, 0.5, 0.5]))
 
 
 def test_lambda_curve_single_edge():
