@@ -171,44 +171,35 @@ def is_k_tight(G: WeightedHypergraph, k: int) -> tuple[bool, frozenset[int] | No
 # ---------------------------------------------------------------------------
 
 def _gf2_solve(rows: list[int], rhs: list[int], n: int):
-    """Solve the affine system over GF(2); returns (particular, null basis) or None."""
-    aug = [(rows[i] << 1) | rhs[i] for i in range(len(rows))]
+    """Solve the affine system over GF(2); returns (particular, null basis) or None.
+
+    Gauss-Jordan elimination on the augmented rows (coefficients above bit
+    0, right-hand side in bit 0).  Each pivot row leads with its highest
+    column and is cleared from every other pivot row, so the pivots form the
+    unique reduced row echelon form.  Each pivot row then reads
+    x[col] + sum(row[c] x[c] for free c) = rhs: the particular solution sets
+    the free variables to 0 and each pivot variable to its rhs bit, and the
+    null vector of a free column c is c itself plus every pivot column whose
+    row holds c.
+    """
     pivots: dict[int, int] = {}
-    for a in aug:
-        for col in sorted(pivots, reverse=True):
+    for row, b in zip(rows, rhs):
+        a = row << 1 | b
+        for col, piv in pivots.items():
             if a >> (col + 1) & 1:
-                a ^= pivots[col]
-        top = a >> 1
-        if top == 0:
+                a ^= piv
+        if a >> 1 == 0:
             if a & 1:
                 return None  # inconsistent row 0 = 1
             continue
-        col = top.bit_length() - 1
+        col = (a >> 1).bit_length() - 1
+        pivots = {c: piv ^ a if piv >> (col + 1) & 1 else piv
+                  for c, piv in pivots.items()}
         pivots[col] = a
-    # each pivot is the highest bit of its row, so substitution runs upward
-    particular = 0
-    for col in sorted(pivots):
-        row = pivots[col]
-        acc = row & 1
-        top = row >> 1
-        for c in range(col):
-            if top >> c & 1:
-                acc ^= particular >> c & 1
-        if acc:
-            particular |= 1 << col
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = 1 << fc
-        for col in sorted(pivots):
-            row = pivots[col] >> 1
-            acc = 0
-            for c in range(col):
-                if row >> c & 1:
-                    acc ^= vec >> c & 1
-            if acc:
-                vec |= 1 << col
-        basis.append(vec)
+    particular = sum(1 << col for col, piv in pivots.items() if piv & 1)
+    basis = [(1 << fc) | sum(1 << col for col, piv in pivots.items()
+                             if piv >> (fc + 1) & 1)
+             for fc in range(n) if fc not in pivots]
     return particular, basis
 
 
@@ -316,71 +307,60 @@ def _transposition_preserves(G: WeightedHypergraph, u: int, v: int) -> bool:
 def equivalence_classes(G: WeightedHypergraph) -> tuple[tuple[int, ...], ...]:
     """Vertex partition under "swapping u and v preserves all edge weights".
 
-    The pairwise relation is closed transitively to obtain a partition.
+    The relation is transitive as it stands: if the swaps (u v) and (v w)
+    preserve the weights, so does (u w) = (u v)(v w)(u v).  So each vertex
+    is compared with one member of each class found so far, and joins the
+    class it matches or starts a new one.
     """
-    n = G.n_vertices
     deg = G.degrees()
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if find(u) == find(v):
-                continue
-            if deg[u] != deg[v]:
-                continue
-            if _transposition_preserves(G, u, v):
-                parent[find(v)] = find(u)
-    blocks: dict[int, list[int]] = {}
-    for v in range(n):
-        blocks.setdefault(find(v), []).append(v)
-    return tuple(tuple(b) for b in sorted(blocks.values()))
+    classes: list[list[int]] = []
+    for v in range(G.n_vertices):
+        for cls in classes:
+            if deg[cls[0]] == deg[v] and _transposition_preserves(G, cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(c) for c in classes)
 
 
 # ---------------------------------------------------------------------------
 # exact colorings (weak chromatic number, strong partiteness)
 # ---------------------------------------------------------------------------
 
+def _least_coloring(n: int, edges) -> int:
+    """Least k such that some k-coloring of range(n) leaves no edge monochromatic.
+
+    Backtracking over the vertices in order: a vertex takes a color at most
+    one above those already used, so no permutation of colors is revisited,
+    and each edge is checked once its last vertex is colored.
+    """
+    by_last = [[] for _ in range(n)]
+    for e in edges:
+        by_last[max(e)].append(e)
+    colors = [-1] * n
+
+    def place(v: int, k: int) -> bool:
+        if v == n:
+            return True
+        used = max(colors[:v], default=-1)
+        for c in range(min(used + 1, k - 1) + 1):
+            colors[v] = c
+            if all(any(colors[x] != c for x in e) for e in by_last[v]) \
+                    and place(v + 1, k):
+                return True
+        colors[v] = -1
+        return False
+
+    return next((k for k in range(1, n + 1) if place(0, k)), n)
+
+
 def chromatic_number_exact(G: WeightedHypergraph) -> int:
     """Least k such that no support edge is monochromatic; exact search, n <= 16."""
     n = G.n_vertices
     if n > COLORING_BUDGET:
         raise ValueError(f"exact coloring exceeds budget (n={n} > {COLORING_BUDGET})")
-    if n == 0:
-        return 0
-    if G.num_edges == 0:
-        return 1
-    edges = G.edges()
-    by_last = [[] for _ in range(n)]
-    for e in edges:
-        by_last[max(e)].append(e)
-
-    def feasible(k: int) -> bool:
-        colors = [-1] * n
-
-        def place(v: int) -> bool:
-            if v == n:
-                return True
-            used = max(colors[:v], default=-1)
-            for c in range(min(used + 1, k - 1) + 1):
-                colors[v] = c
-                if all(any(colors[x] != c for x in e) for e in by_last[v]):
-                    if place(v + 1):
-                        return True
-            colors[v] = -1
-            return False
-
-        return place(0)
-
-    for k in range(1, n + 1):
-        if feasible(k):
-            return k
-    return n
+    return _least_coloring(n, G.edges())
 
 
 def is_k_partite(G: WeightedHypergraph, k: int,
@@ -408,38 +388,11 @@ def is_k_partite(G: WeightedHypergraph, k: int,
 def partiteness_number(G: WeightedHypergraph) -> int:
     """Least k for which G is k-partite (exact, n <= 16).
 
-    Equals the chromatic number of the 2-section, computed directly on pairs.
+    Equals the chromatic number of the 2-section: the coloring search runs on
+    the vertex pairs that share an edge.
     """
     n = G.n_vertices
     if n > COLORING_BUDGET:
         raise ValueError(f"exact partiteness search exceeds budget (n={n})")
-    if n == 0:
-        return 0
-    adj = [0] * n
-    for e in G.edges():
-        for u, v in itertools.combinations(e, 2):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-
-    def feasible(k: int) -> bool:
-        colors = [-1] * n
-
-        def place(v: int) -> bool:
-            if v == n:
-                return True
-            used = max(colors[:v], default=-1)
-            for c in range(min(used + 1, k - 1) + 1):
-                if any(colors[u] == c for u in range(v) if adj[v] >> u & 1):
-                    continue
-                colors[v] = c
-                if place(v + 1):
-                    return True
-            colors[v] = -1
-            return False
-
-        return place(0)
-
-    for k in range(1, n + 1):
-        if feasible(k):
-            return k
-    return n
+    pairs = {pair for e in G.edges() for pair in itertools.combinations(e, 2)}
+    return _least_coloring(n, pairs)

@@ -243,7 +243,7 @@ def t_star(r: int, t: int, n: int) -> WeightedHypergraph:
 
 def complete_multipartite(r: int, parts: Sequence[int]) -> WeightedHypergraph:
     """Complete r-partite-style graph: an edge takes one vertex from each of r distinct parts."""
-    parts = tuple(int(s) for s in parts)
+    parts = tuple(_as_int(s, "part size") for s in parts)
     if len(parts) < r:
         raise ValueError(f"complete-multipartite needs at least r={r} parts, got {len(parts)}")
     if any(s <= 0 for s in parts):
@@ -297,7 +297,7 @@ def construct(spec: FamilySpec) -> WeightedHypergraph:
 def blow_up(G: WeightedHypergraph, mult: Sequence[int]) -> WeightedHypergraph:
     """Replace vertex v by mult[v] clones and each edge by the complete r-partite
     graph across its clone classes, keeping edge weights."""
-    mult = [int(c) for c in mult]
+    mult = [_as_int(c, "multiplicity") for c in mult]
     if len(mult) != G.n_vertices:
         raise ValueError(f"multiplicity list has length {len(mult)}, expected {G.n_vertices}")
     if any(c < 1 for c in mult):
@@ -383,7 +383,7 @@ def induced_subgraph(G: WeightedHypergraph, vertices: Iterable[int]
 
     Returns the subgraph together with the old-id -> new-id map.
     """
-    U = sorted(set(int(v) for v in vertices))
+    U = sorted({_as_int(v, "vertex id") for v in vertices})
     if U and (U[0] < 0 or U[-1] >= G.n_vertices):
         raise ValueError(f"vertex set {U} not contained in [0, {G.n_vertices})")
     relabel = {v: i for i, v in enumerate(U)}

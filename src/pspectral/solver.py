@@ -49,9 +49,10 @@ Algorithm map
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
-  Both backtracking searches, `_armijo_step` and the p = 1 simplex step,
-    halve their step at most `_MAX_HALVINGS` (10) times; a search that finds
-    no progress within that budget takes no step, as at a stationary point.
+  The backtracking searches, `_armijo_step`, the p = 1 simplex step and
+    `_newton_polish`'s saddle escape, halve their step at most
+    `_MAX_HALVINGS` (10) times; a search that finds no progress within that
+    budget takes no step, as at a stationary point.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort"; "converged"
@@ -384,7 +385,7 @@ def _newton_polish(G, p, x, lam, tol, sense):
     ref = lam_y if sense * (lam_y - lam) > 0 else lam
     t = 1.0
     with np.errstate(all="ignore"):
-        for _ in range(40):
+        for _ in range(_MAX_HALVINGS):
             best = None
             for s in (t, -t):
                 trial = _signed_power(z + s * v, a)
@@ -836,6 +837,8 @@ def brute_force_lambda(G: WeightedHypergraph, p: float, target: str = "max",
     p = check_exponent(p)
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
+    if _as_int(seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = G.n_vertices
     if n == 0 or G.num_edges == 0:
         return 0.0

@@ -127,6 +127,11 @@ def test_non_finite_tol_or_negative_seed_exits_one(capsys, c4):
     assert code == 1 and out == "" and "seed must be nonnegative" in err
 
 
+def test_oracle_negative_seed_exits_one(capsys, c4):
+    code, out, err = run(capsys, ["oracle", "--input", c4, "--samples", "200", "--seed", "-1"])
+    assert code == 1 and out == "" and "seed must be nonnegative" in err
+
+
 def test_usage_error_exit_one(capsys):
     code, _, _ = run(capsys, ["compute", "--p", "2"])
     assert code == 1

@@ -1,9 +1,11 @@
 
+import itertools
+
 import numpy as np
 import pytest
 
 import pspectral as ps
-from pspectral.combinatorics import transversal_exhaustive
+from pspectral.combinatorics import _transposition_preserves, transversal_exhaustive
 from helpers import fano, path, random_graph
 
 
@@ -139,6 +141,20 @@ def test_gf2_solver_matches_exhaustive_search():
             assert all(len(even & set(e)) % 2 == 0 for e in G.edges())
 
 
+def test_transversal_witnesses_are_pinned():
+    # the witness decides the flipped minimizer's vector, so a drift in the
+    # GF(2) solve fails here before it fails a solver digest
+    cases = [(ps.cycle(2, 6), {1, 3, 5}, None),
+             (ps.cycle(3, 7), set(range(7)), None),
+             (fano(), {2, 4, 5}, {0, 2, 4, 6}),
+             (ps.beta_star(3, 3), {2, 4, 6}, {0, 2, 4, 6}),
+             (ps.random_gnp(3, 9, 0.4, 1), set(range(9)), None),
+             (ps.random_gnp(4, 8, 0.5, 2), None, None)]
+    for G, odd, even in cases:
+        assert ps.odd_transversal(G) == odd
+        assert ps.even_transversal(G) == even
+
+
 def test_linearity_and_steiner():
     # every 2-graph is 1-linear
     assert ps.is_k_linear(ps.complete(2, 5), 1)
@@ -173,6 +189,26 @@ def test_equivalence_classes():
     assert ps.equivalence_classes(W) == ((0,), (1,), (2,))
 
 
+def test_equivalence_classes_match_the_definition():
+    rng = np.random.default_rng(8)
+    merged = 0
+    for i in range(100):
+        r = int(rng.integers(2, 5))
+        n = int(rng.integers(r, 9))
+        edges = {e: float(rng.integers(1, 3)) if i % 2 else 1.0
+                 for e in itertools.combinations(range(n), r) if rng.random() < 0.5}
+        G = ps.WeightedHypergraph(r, n, edges)
+        classes = ps.equivalence_classes(G)
+        assert sorted(v for c in classes for v in c) == list(range(n))
+        for a, A in enumerate(classes):
+            assert all(_transposition_preserves(G, u, v)
+                       for u, v in itertools.combinations(A, 2))
+            assert not any(_transposition_preserves(G, u, v)
+                           for B in classes[a + 1:] for u in A for v in B)
+        merged += sum(len(c) > 1 for c in classes)
+    assert merged > 0
+
+
 def test_eigenvector_constant_on_classes_by_construction():
     # the relation is exactly "swap is weight-preserving": verify on K(1,2,2)
     G = ps.complete_multipartite(3, [1, 2, 2])
@@ -197,6 +233,16 @@ def test_partiteness():
     assert ps.is_k_partite(ps.turan(6, 3), 3)
     assert ps.is_k_partite(ps.turan(6, 3), 3, partition=[[0, 1], [2, 3], [4, 5]])
     assert not ps.is_k_partite(ps.complete(2, 4), 3)
+    with pytest.raises(ValueError, match="partiteness search exceeds budget"):
+        ps.partiteness_number(ps.complete(2, 17))
+
+
+def test_partiteness_is_the_chromatic_number_of_the_2_section():
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        G = random_graph(rng, r=int(rng.integers(3, 5)), n_lo=4, n_hi=10,
+                         density=float(rng.uniform(0.05, 0.3)))
+        assert ps.partiteness_number(G) == ps.chromatic_number_exact(ps.k_section(G, 2))
 
 
 def test_path_graph_classes_and_chromatic():

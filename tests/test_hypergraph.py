@@ -186,6 +186,22 @@ def test_blow_up_errors():
         ps.blow_up(G, [1, 0])
 
 
+def test_graph_operations_refuse_non_integers():
+    # int() would build the [1, 2] blow-up, parts [2, 1] and keep vertex 0
+    with pytest.raises(ValueError, match="multiplicity must be an integer"):
+        ps.blow_up(ps.single_edge(2), [1.5, 2.9])
+    with pytest.raises(ValueError, match="part size must be an integer"):
+        ps.complete_multipartite(2, [2.7, 1.2])
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        ps.induced_subgraph(ps.complete(2, 3), [0.5])
+    assert ps.blow_up(ps.single_edge(2), np.array([1, 2])) == \
+        ps.blow_up(ps.single_edge(2), [1, 2])
+    assert ps.complete_multipartite(2, np.array([2, 1])) == ps.complete_multipartite(2, [2, 1])
+    H, relabel = ps.induced_subgraph(ps.complete(2, 3), np.array([0, 2]))
+    assert H == ps.complete(2, 2) and relabel == {0: 0, 2: 1}
+    assert all(type(v) is int for v in relabel)
+
+
 def test_disjoint_union():
     G = ps.complete(3, 3)
     U = ps.disjoint_union(G, G)

@@ -560,6 +560,18 @@ def test_oracle_same_seed_bit_identical():
         assert a == b
 
 
+def test_oracle_names_a_bad_seed():
+    # else numpy raises "expected non-negative integer", naming no option
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ps.brute_force_lambda(ps.cycle(2, 4), 2.0, seed=-1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ps.brute_force_lambda(ps.cycle(2, 4), 2.0, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        ps.brute_force_lambda(ps.WeightedHypergraph(2, 3, {}), 2.0, seed=-1)
+    assert ps.brute_force_lambda(ps.cycle(2, 4), 2.0, "max", 200, np.int64(3)) == \
+        ps.brute_force_lambda(ps.cycle(2, 4), 2.0, "max", 200, 3)
+
+
 def test_oracle_closed_forms_to_1e9():
     val = ps.brute_force_lambda(ps.single_edge(3), 2.0, "max", 20_000, 0)
     assert val == pytest.approx(6 / 3 ** 1.5, abs=1e-9)
