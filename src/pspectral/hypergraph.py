@@ -56,9 +56,11 @@ class WeightedHypergraph:
     The edges are kept as one sorted tuple and the weights as a parallel
     tuple: two pointers per edge, where a dict takes about six.  `weight`
     bisects the sorted edges, and `edge_weights` builds its dict per call.
+    `_maxima` is the solver's record of the maxima solved on this graph
+    (`solver._record_max`).
     """
 
-    __slots__ = ("_rank", "_n", "_edges", "_weights", "_arrays", "_hash")
+    __slots__ = ("_rank", "_n", "_edges", "_weights", "_arrays", "_hash", "_maxima")
 
     def __init__(self, rank: int, n_vertices: int,
                  edges: Mapping[Sequence[int], float] | Iterable[tuple[Sequence[int], float]] = ()):
@@ -98,6 +100,7 @@ class WeightedHypergraph:
         self._weights = tuple(store[e] for e in self._edges)
         self._arrays = None
         self._hash = None
+        self._maxima = ()
 
     @property
     def rank(self) -> int:

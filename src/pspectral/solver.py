@@ -26,7 +26,8 @@ Algorithm map
   target min with an odd transversal T of the support (every odd rank has
     one): flipping signs on T negates every edge product, so the minimum is
     the maximizer with signs flipped on T, at every rank and p, and no
-    minimum restart runs.
+    minimum restart runs.  The maximizer is the caller's (`extremes`), else
+    one `lambda_max` recorded on the graph with the same arguments, else new.
   target min, even rank, otherwise: `_sphere_loop` on the full sphere, from
     sign-randomized restarts plus the best -1/0/+1 sign pattern for n <= 6,
     stepping in the coordinate Newton solves in.  At 1 < p < 2 that is the
@@ -49,15 +50,19 @@ Algorithm map
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
+    A positive Newton point of the maximum at p >= r needs no such test.
   The backtracking searches, `_armijo_step`, the p = 1 simplex step and
     `_newton_polish`'s saddle escape, halve their step at most
     `_MAX_HALVINGS` (10) times; a search that finds no progress within that
     budget takes no step, as at a stationary point.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
-best-of-restarts value is reported with status "best-effort"; "converged"
-is reserved for runs whose stationarity tolerance was met and whose regime
-(p >= r, or p = 1, or an odd-transversal minimum) pins the global optimum.
+best-of-restarts value is reported with status "best-effort".  "converged"
+needs tol met and, at p >= r, a winner's gap of at most tol * max(1, lam)
+(an edgeless graph is trivially "converged").  At p = 1 it means only that
+the simplex iteration met tol, no global certificate: a clique's uniform
+weighting is a local maximum (Motzkin & Straus) that can win.  An
+odd-transversal minimum takes its maximum's status.
 
 Restarts are independent given the seed and run one after another; the
 best candidate of those that ran wins, with value ties broken toward the
@@ -67,7 +72,7 @@ lexicographically smallest vector, so a solve is bit-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,6 +87,7 @@ _STABLE_ITERS = 10
 # proves itself by a search that fails every trial
 _MAX_HALVINGS = 10
 _MAX_EDGE_STARTS = 8
+_RECORDED_MAXIMA = 8    # maxima kept per graph for the odd-transversal minimum
 _PATTERN_MAX_N = 6      # all 3^n sign patterns, or 2^(n-1) at p = 1, are tried
 # _sphere_loop's Newton polish (see its docstring); tried earlier than the
 # gate, Newton can settle on a worse local minimum than the descent reaches
@@ -172,7 +178,7 @@ def eigen_residual(G: WeightedHypergraph, p: float, lam: float, x: np.ndarray) -
 
 
 def _residual_from_grad(rank: int, p: float, lam: float, x, g) -> float:
-    return float(np.max(np.abs(lam * _signed_power(x, p - 1.0) - g / rank)))
+    return float(np.maximum.reduce(np.abs(lam * _signed_power(x, p - 1.0) - g / rank)))
 
 
 def default_shift(G: WeightedHypergraph) -> float:
@@ -242,8 +248,8 @@ def _shifted_image(G, p, x, g, rho, sense):
     """The image of x under the map with shift rho for the extremum `sense`,
     its Euler value and its gradient; None when the map is undefined (the
     maximum's s has no positive entry, the minimum's is zero)."""
-    s = sense * g / G.rank + rho * _signed_power(x, p - 1.0)
-    top = s.max() if sense > 0 else np.abs(s).max()
+    s = (g if sense > 0 else -g) / G.rank + rho * _signed_power(x, p - 1.0)
+    top = np.maximum.reduce(s if sense > 0 else np.abs(s))
     if top <= 0.0:
         return None
     y = normalize_lp(_signed_power(s / top, 1.0 / (p - 1.0)), p)
@@ -364,7 +370,8 @@ def _newton_polish(G, p, x, lam, tol, sense):
 
     Returns (y, value, residual, True) when Newton reaches a point y that
     meets tol, is no worse than x (up to 1e-12 relative) and passes the
-    second-order test; (y, value, nan, False) when Newton lands on a saddle
+    second-order test (but for a positive maximizer at p >= r);
+    (y, value, nan, False) when Newton lands on a saddle
     and a backtracked step along its most-wrong curvature improves on both
     the saddle and x, so that the loop resumes from y; None otherwise, so
     that it resumes from x.  For the maximum every point stays nonnegative.
@@ -372,12 +379,16 @@ def _newton_polish(G, p, x, lam, tol, sense):
     nonneg = sense > 0
     with np.errstate(all="ignore"):
         y = _newton_stationary(G, p, x, lam, tol)
-    if y is None or (nonneg and np.any(y < 0.0)):
+    if y is None or (nonneg and (y < 0.0).any()):
         return None
     lam_y = evaluate(G, y)
     res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
     if res_y > tol or sense * (lam_y - lam) < -1e-12 * max(1.0, abs(lam)):
         return None
+    # at p >= r the value is concave in x^p on the simplex (as in
+    # `_concavity_gap`): a positive stationary point is the global maximum
+    if sense > 0 and p >= G.rank and (y > 0.0).all():
+        return y, lam_y, res_y, True
     curv, v, z = _wrong_curvature(G, p, y, lam_y, sense)
     if curv >= 0.0:
         return y, lam_y, res_y, True
@@ -436,37 +447,45 @@ def _newton_stationary(G, p, x, lam, tol):
     r = G.rank
     a = _z_exponent(p)
     c, q = a * (p - 1.0), a * p     # sign(x)|x|^(p-1) = sign(z)|z|^c, |x|^p = |z|^q
-    z, mu = _signed_power(x, 1.0 / a), lam
+    dual = a != 1.0
+    # at a = 1 z is x; x + 0.0 copies it and turns -0.0 into +0.0, as
+    # sign(x)|x| does, so z never holds -0.0 and x(z) is z itself
+    z, mu = _signed_power(x, 1.0 / a) if dual else x + 0.0, lam
     face = p == 1.0
     S = np.flatnonzero(x) if face else slice(None)
     sgn = np.sign(x)
     F_buf = np.empty(x.size + 1)
     J_buf = np.empty((x.size + 1, x.size + 1))
+    diag = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
-        xz = _signed_power(z, a)
+        xz = _signed_power(z, a) if dual else z
         zS = z[S]
         k = zS.size
         F, J = F_buf[:k + 1], J_buf[:k + 1, :k + 1]
-        np.subtract(mu * _signed_power(zS, c), gradient(G, xz)[S] / r, out=F[:k])
-        F[k] = np.sum(np.abs(zS) ** q) - 1.0
-        if not np.all(np.isfinite(F)):
+        zc = _signed_power(zS, c)
+        np.subtract(mu * zc, gradient(G, xz)[S] / r, out=F[:k])
+        F[k] = np.add.reduce(np.abs(zS) ** q) - 1.0
+        if not np.isfinite(F).all():
             return None
-        if np.abs(F).max() <= 1e-3 * tol:
+        if np.maximum.reduce(np.abs(F)) <= 1e-3 * tol:
             break
         az = np.abs(zS)
         H = hessian(G, xz)
-        np.multiply(H[np.ix_(S, S)] if face else H, -a / r * az ** (a - 1.0), out=J[:k, :k])
-        J[range(k), range(k)] += mu * c * az ** (c - 1.0)
-        J[:k, k] = _signed_power(zS, c)
-        J[k, :k] = q * _signed_power(zS, q - 1.0)
+        if face:
+            H = H[np.ix_(S, S)]
+        # at a = 1, dx/dz is 1 and q - 1 is c exactly
+        np.multiply(H, -a / r * az ** (a - 1.0) if dual else -a / r, out=J[:k, :k])
+        J[diag[:k], diag[:k]] += mu * c * az ** (c - 1.0)
+        J[:k, k] = zc
+        J[k, :k] = q * (_signed_power(zS, q - 1.0) if dual else zc)
         J[k, k] = 0.0
-        if not np.all(np.isfinite(J)):
+        if not np.isfinite(J).all():
             return None
         try:
             step = None if face else np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step = None
-        if step is None or not np.all(np.isfinite(step)):
+        if step is None or not np.isfinite(step).all():
             step = np.linalg.lstsq(J, -F, rcond=None)[0]
         big = np.abs(step[:k]).max()
         if big > _NEWTON_MAX_STEP:
@@ -482,7 +501,7 @@ def _newton_stationary(G, p, x, lam, tol):
         if face:
             z[sgn * z <= 0.0] = 0.0
             S = np.flatnonzero(z)
-    xz = _signed_power(z, a)
+    xz = _signed_power(z, a) if dual else z
     nrm = lp_norm(xz, p)
     if not 0.0 < nrm < math.inf:
         return None
@@ -501,10 +520,13 @@ def _wrong_curvature(G, p, x, lam, sense):
     and v its unit eigenvector in z.
     """
     a = _z_exponent(p)
-    z = _signed_power(x, 1.0 / a)
+    # at a = 1 z is x (x + 0.0 turns -0.0 into +0.0, as sign(x)|x| does), D is I
+    z = _signed_power(x, 1.0 / a) if a != 1.0 else x + 0.0
     az = np.abs(z)
-    d = a * az ** (a - 1.0)
-    L = hessian(G, x) * np.outer(d, d)
+    L = hessian(G, x)
+    if a != 1.0:
+        d = a * az ** (a - 1.0)
+        L *= np.outer(d, d)
     L[np.diag_indices_from(L)] -= G.rank * lam * (p - 1.0) * a * a * az ** (a * p - 2.0)
     nu = _signed_power(z, a * p - 1.0)
     nu /= np.linalg.norm(nu)
@@ -725,8 +747,9 @@ def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bo
 
     With an odd transversal the minimum is one candidate: the maximizer with
     signs flipped on it, with the maximum's status.  `top` is the caller's
-    solved maximum, if any; otherwise the maximum is solved here from the
-    warm vectors.  The maximum at p >= r stops at its first candidate that
+    solved maximum, if any; otherwise the maximum that `lambda_max` recorded
+    on G for these arguments, or else one solved here from the warm
+    vectors.  The maximum at p >= r stops at its first candidate that
     meets tol with a concavity gap of at most tol * max(1, lam).
     """
     extra = list(extra)
@@ -745,7 +768,8 @@ def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bo
         ot = odd_transversal(G)
         if ot is not None:
             if top is None:
-                top = lambda_max(G, p, opts, initial_vectors=extra)
+                top = (_recorded_max(G, _max_key(p, opts, extra))
+                       or lambda_max(G, p, opts, initial_vectors=extra))
             x = top.vector.coords.copy()
             x[list(ot)] = -x[list(ot)]
             certified = top.status == "converged"
@@ -768,6 +792,9 @@ def _solve(G, p, opts, target, extra=(), top=None) -> EigenResult:
         return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
     cands, certified = _candidates(G, p, opts, target, extra, top)
     win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
+    if target == "max" and p >= G.rank:
+        # the concave regime certifies the winner only through its gap
+        certified = win.gap <= opts.tol * max(1.0, win.lam)
     status = "converged" if (win.tol_met and certified) else "best-effort"
     return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
                        win.res, win.iters, len(cands), status, p, target, win.gap)
@@ -786,10 +813,45 @@ def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
     return [(c.lam, c.x, c.res) for c in cands]
 
 
+def _max_key(p, opts, warm) -> tuple:
+    """Every input of a maximum solve on a given graph."""
+    vecs = [np.asarray(v, dtype=np.float64) for v in warm]
+    return (p, opts, *(v.shape for v in vecs), *(v.tobytes() for v in vecs))
+
+
+def _record_max(G, key, res) -> None:
+    """Record the maximum `res` on G under `key`, with a private copy of its
+    vector (the one field a caller can write into), keeping the latest
+    `_RECORDED_MAXIMA`.  G is immutable and the key holds every other input,
+    so a record is what a new solve would return.  The tuple is replaced,
+    never changed: a thread reads a whole one, and racing writers only drop
+    an entry."""
+    entries = [e for e in G._maxima if e[0] != key]
+    entries.append((key, res, res.vector.coords.tobytes()))
+    G._maxima = tuple(entries[-_RECORDED_MAXIMA:])
+
+
+def _recorded_max(G, key) -> EigenResult | None:
+    """The maximum recorded on G under `key`, with a fresh vector, or None."""
+    for k, res, coords in G._maxima:
+        if k == key:
+            vec = PointOnSphere(np.frombuffer(coords).copy(), res.p, normalized=False)
+            return replace(res, vector=vec)
+    return None
+
+
 def lambda_max(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
                initial_vectors=()) -> EigenResult:
-    """Best maximizer of the edge polynomial over the unit l^p sphere."""
-    return _solve(G, check_exponent(p), opts or SolveOptions(), "max", initial_vectors)
+    """Best maximizer of the edge polynomial over the unit l^p sphere.
+
+    Every call solves, and records its result on G for a later `lambda_min`
+    with the same arguments on a graph with an odd transversal.
+    """
+    p, opts, warm = check_exponent(p), opts or SolveOptions(), list(initial_vectors)
+    res = _solve(G, p, opts, "max", warm)
+    if G.num_edges:     # an edgeless graph's minimum never looks
+        _record_max(G, _max_key(p, opts, warm), res)
+    return res
 
 
 def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,

@@ -258,6 +258,19 @@ def test_newton_falls_back_to_least_squares_when_lu_fails(monkeypatch):
         assert abs(fallback.value - plain.value) <= 4 * math.ulp(plain.value)
 
 
+def test_newton_leaves_its_start_unchanged():
+    # the Newton loop writes into z, which at a = 1 (p = 1, p >= 2) is x
+    from pspectral.solver import _newton_stationary
+    G = ps.random_gnp(3, 9, 0.4, 1)
+    rng = np.random.default_rng(3)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        x = ps.normalize_lp(rng.uniform(0.1, 1.0, 9), p)
+        start = x.copy()
+        with np.errstate(all="ignore"):
+            _newton_stationary(G, p, x, ps.evaluate(G, x), 1e-10)
+        assert np.array_equal(x, start)
+
+
 # maximum at p >= r: the concavity gap certifies and stops the restarts ------
 
 def test_concavity_gap_is_infinite_where_a_live_vertex_is_zero():
@@ -309,6 +322,39 @@ def test_maximum_at_p_ge_r_stops_at_its_first_certified_restart():
     assert stopped > 0
 
 
+def test_converged_at_p_ge_r_rests_on_the_gap():
+    # the maximizer lies on the 5-cycle, where the single edge's vertices are
+    # zero: every restart meets tol, but the gap there is infinite
+    G = ps.disjoint_union(ps.cycle(2, 5), ps.single_edge(2))
+    res = ps.lambda_max(G, 2.0, FAST)
+    assert res.residual <= FAST.tol and res.gap == math.inf
+    assert res.status == "best-effort"
+    # the minimum, flipped on an odd transversal, takes the maximum's status
+    assert ps.lambda_min(G, 2.0, FAST).status == "best-effort"
+
+
+def test_concavity_skip_never_hides_a_failing_second_order_test(monkeypatch):
+    # a positive Newton point of the maximum at p >= r skips the second-order
+    # test; run the test anyway at every such point
+    from pspectral import solver
+    curvatures = []
+    real = solver._newton_polish
+
+    def polish(G, p, x, lam, tol, sense):
+        out = real(G, p, x, lam, tol, sense)
+        if out is not None and out[3] and sense > 0 and p >= G.rank and np.all(out[0] > 0.0):
+            curvatures.append(solver._wrong_curvature(G, p, out[0], out[1], sense)[0])
+        return out
+
+    monkeypatch.setattr(solver, "_newton_polish", polish)
+    rng = np.random.default_rng(52)
+    for i in range(200):
+        G = random_graph(rng, weighted=i % 2 == 1)
+        p = G.rank + (0.0 if i % 10 == 0 else float(rng.uniform(0.0, 3.0)))
+        ps.lambda_max(G, p, POOL)
+    assert curvatures and min(curvatures) >= 0.0
+
+
 def test_odd_transversal_minimum_runs_no_minimum_restart(monkeypatch):
     # case 93's part graph in the pool fixture, with the odd transversal
     # {3, 5}: beside its flipped maximizer, which is optimal, restarts of the
@@ -325,6 +371,68 @@ def test_odd_transversal_minimum_runs_no_minimum_restart(monkeypatch):
     assert bot.value == -top.value
     assert bot.restarts_used == 1 and bot.status == top.status
     assert senses and -1.0 not in senses
+
+
+# the odd-transversal minimum reuses the maximum lambda_max recorded ---------
+
+def _gradient_calls(monkeypatch):
+    from pspectral import solver
+    calls = []
+    real = solver.gradient
+    monkeypatch.setattr(solver, "gradient", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _bits(res):
+    return (float.hex(res.value), res.vector.coords.tobytes(), float.hex(res.residual),
+            res.iterations, res.restarts_used, res.status, float.hex(res.gap))
+
+
+def test_minimum_after_the_maximum_solves_nothing(monkeypatch):
+    G = ps.cycle(3, 7)
+    ps.lambda_max(G, 2.5, FAST)
+    calls = _gradient_calls(monkeypatch)
+    bot = ps.lambda_min(G, 2.5, FAST)
+    assert calls == []
+    assert _bits(bot) == _bits(ps.lambda_min(ps.cycle(3, 7), 2.5, FAST))
+    assert len(calls) > 0
+
+
+def test_minimum_with_other_arguments_solves_afresh(monkeypatch):
+    G = ps.cycle(3, 7)
+    ps.lambda_max(G, 2.5, FAST)
+    calls = _gradient_calls(monkeypatch)
+    other = ps.SolveOptions(tol=1e-10, restarts=8, seed=12)
+    for p, opts, warm in ((3.0, FAST, ()), (2.5, other, ()),
+                          (2.5, FAST, [np.linspace(1.0, 2.0, 7)])):
+        calls.clear()
+        ps.lambda_min(G, p, opts, initial_vectors=warm)
+        assert len(calls) > 0
+
+
+def test_writing_into_a_returned_maximum_leaves_the_record(monkeypatch):
+    G = ps.cycle(3, 7)
+    want = _bits(ps.lambda_min(ps.cycle(3, 7), 2.5, FAST))
+    top = ps.lambda_max(G, 2.5, FAST)
+    top.vector.coords[:] = 7.0
+    calls = _gradient_calls(monkeypatch)
+    assert _bits(ps.lambda_min(G, 2.5, FAST)) == want
+    assert calls == []
+
+
+def test_lambda_max_always_solves_and_the_record_stays_small(monkeypatch):
+    from pspectral import solver
+    starts = []
+    real = solver._run_start
+    monkeypatch.setattr(solver, "_run_start", lambda *a: starts.append(1) or real(*a))
+    G = ps.cycle(3, 7)
+    for _ in range(2):
+        starts.clear()
+        ps.lambda_max(G, 2.5, FAST)
+        assert len(starts) > 0
+    for p in np.linspace(3.0, 4.0, 10):
+        ps.lambda_max(G, p, FAST)
+    assert len(G._maxima) == solver._RECORDED_MAXIMA
 
 
 # even-rank minimum: sphere descent with the Newton polish --------------------
@@ -814,6 +922,18 @@ def test_golden_odd_rank_curve_bit_identical():
     ]
 
 
+def test_pool_traffic_bit_identical():
+    # criterion 7's call pattern: the minimum after the maximum on each graph,
+    # which reuses the recorded maximum wherever there is an odd transversal
+    h = hashlib.sha256()
+    for G, p in criterion7_draws(20):
+        for res in (ps.lambda_max(G, p, POOL), ps.lambda_min(G, p, POOL)):
+            h.update(float.hex(res.value).encode())
+            h.update(res.vector.coords.tobytes())
+            h.update(res.status.encode())
+    assert h.hexdigest() == "825b47cb98c553a5d2c2f402809bcb3137619edb449d9882b0c3cabe2e0c59b4"
+
+
 def test_same_seed_same_result():
     G = ps.random_gnp(3, 8, 0.5, 4)
     a = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=8, seed=5))
@@ -924,3 +1044,15 @@ def test_p1_even_rank_minimum_uses_its_warm_vector():
     res = ps.lambda_min(G, 1.0, ps.SolveOptions(tol=1e-9, restarts=1, seed=0),
                         initial_vectors=[v])
     assert res.value <= ps.evaluate(G, v) + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="p = 1 has no global certificate yet: a "
+                   "clique's uniform weighting is a local maximum of the Lagrangian")
+def test_p1_converged_maximum_is_the_lagrangian():
+    # the clique {1, 5, 6, 10} gives 3/4; the solve returns 2/3, a triangle's value
+    G = ps.from_edge_list(2, 12, [
+        (0, 2), (0, 4), (0, 11), (1, 2), (1, 5), (1, 6), (1, 7), (1, 10), (2, 4), (2, 7),
+        (2, 9), (2, 11), (3, 8), (3, 11), (4, 5), (5, 6), (5, 10), (5, 11), (6, 7), (6, 10),
+        (8, 10), (9, 10), (9, 11), (10, 11)])
+    res = ps.lambda_max(G, 1.0, ps.SolveOptions(tol=1e-9, restarts=4, seed=2024))
+    assert res.value >= 0.75 - 1e-9 or res.status == "best-effort"
