@@ -3,7 +3,7 @@ l^p unit sphere, with certified stationarity residuals, a sampling oracle,
 and Collatz-Wielandt style envelopes.
 
 Algorithm map
-  Each target builds its starts (`_max_starts`, `_min_starts`) and runs each
+  One builder (`_starts`) makes the starts of either target, and each runs
   through `_run_start`.
   p = 1: the simplex method in the start's sign orthant, where the l^1
     sphere is a simplex and each weight takes the sign of its edge's
@@ -71,6 +71,7 @@ lexicographically smallest vector, so a solve is bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -618,91 +619,62 @@ def _sign_patterns(n: int, p: float) -> np.ndarray:
     return pats / (np.sum(np.abs(pats) ** p, axis=1) ** (1.0 / p))[:, None]
 
 
-def _random_simplex_points(rng, count, n):
-    pts = []
-    for _ in range(count):
-        y = rng.exponential(1.0, n)
-        s = y.sum()
-        pts.append(y / s if s > 0 else np.full(n, 1.0 / n))
-    return pts
+def _starts(G, p, opts, extra, sense):
+    """The start vectors of the maximum (sense 1) or the minimum (sense -1).
 
+    Either target: the warm vectors, an anchor, one start per edge (its
+    indicator, with the first entry negated for the minimum) and random
+    simplex points, sign-randomized for the minimum.  The anchor is the
+    uniform point, first, for the maximum, and the best -1/0/+1 sign pattern
+    (n <= 6), after the warm vectors, for the minimum.  Edge starts leave
+    random ones a third of `opts.restarts`.
 
-def _edge_start_budget(opts, n_structured, m):
-    """Cap edge-indicator starts so random restarts always keep a share."""
-    reserve = max(1, opts.restarts // 3)
-    room = opts.restarts - n_structured - reserve
-    return max(min(m, _MAX_EDGE_STARTS, room), 0)
-
-
-def _max_starts(G, p, opts, extra):
-    """Start vectors on the nonnegative sphere (the simplex at p = 1):
-    uniform, warm, edges, randoms."""
-    n = G.n_vertices
-    starts = [np.full(n, n ** (-1.0 / p))]
-    for v in extra:
-        v = np.abs(np.asarray(v, dtype=np.float64))
-        if v.shape == (n,) and lp_norm(v, p) > 0:
-            starts.append(normalize_lp(v, p))
-    for e in G.edges()[:_edge_start_budget(opts, len(starts), G.num_edges)]:
-        x = np.zeros(n)
-        x[list(e)] = 1.0
-        starts.append(normalize_lp(x, p))
-    rng = np.random.default_rng(np.random.SeedSequence(opts.seed))
-    n_random = max(opts.restarts - len(starts), 1)
-    starts.extend(y ** (1.0 / p) for y in _random_simplex_points(rng, n_random, n))
-    return starts[:max(opts.restarts, 1 + len(extra))]
-
-
-def _min_starts(G, p, opts, extra):
-    """Start vectors on the sphere: warm, the best sign pattern (n <= 6), one
-    negated entry per edge, sign-randomized points.
-
-    At p = 1: the warm vectors, then each sign orthant (all up to global
-    sign for n <= 6, else random ones and one negated entry per edge) times
-    the uniform point and one random simplex point.  A zero entry counts
-    as +.
+    The minimum at p = 1: the warm vectors, then each sign orthant (all up to
+    global sign for n <= 6, else random ones and one negated entry per edge)
+    times the uniform point and one random simplex point.  A zero entry
+    counts as +.
     """
     n = G.n_vertices
-    if p == 1.0:
-        warm = [np.asarray(v, dtype=np.float64) for v in extra]
-        starts = [np.where(v < 0.0, -1.0, 1.0) * (np.abs(v) / np.abs(v).sum())
-                  for v in warm if v.shape == (n,) and np.abs(v).sum() > 0]
-        patterns = set()
+
+    def simplex_points(rng, count):
+        ys = [rng.exponential(1.0, n) for _ in range(count)]
+        return [y / y.sum() if y.sum() > 0 else np.full(n, 1.0 / n) for y in ys]
+
+    warm = [normalize_lp(np.abs(v) if sense > 0 else v, p) for v in extra if lp_norm(v, p) > 0]
+    if sense < 0 and p == 1.0:
         if n <= _PATTERN_MAX_N:
-            for bits in range(1 << (n - 1)):
-                patterns.add((1,) + tuple(1 - 2 * (bits >> i & 1) for i in range(n - 1)))
+            orthants = {(1, *s) for s in itertools.product((1, -1), repeat=n - 1)}
         else:
             rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 2]))
-            for _ in range(max(opts.restarts, 4)):
-                patterns.add(tuple(int(s) for s in rng.integers(0, 2, n) * 2 - 1))
-            for e in G.edges()[:_MAX_EDGE_STARTS]:
-                patterns.add(tuple(-1 if k == e[0] else 1 for k in range(n)))
+            orthants = {tuple(int(s) for s in rng.integers(0, 2, n) * 2 - 1)
+                        for _ in range(max(opts.restarts, 4))}
+            orthants |= {tuple(-1 if k == e[0] else 1 for k in range(n))
+                         for e in G.edges()[:_MAX_EDGE_STARTS]}
         rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 3]))
-        for s in sorted(patterns):
-            sv = np.array(s, dtype=np.float64)
-            starts.append(sv * np.full(n, 1.0 / n))
-            starts.extend(sv * y for y in _random_simplex_points(rng, 1, n))
+        starts = [v + 0.0 for v in warm]        # + 0.0 clears the sign of a zero
+        for s in sorted(orthants):
+            starts += [np.array(s, dtype=np.float64) * y
+                       for y in (np.full(n, 1.0 / n), *simplex_points(rng, 1))]
         return starts
-    starts = []
-    for v in extra:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape == (n,) and lp_norm(v, p) > 0:
-            starts.append(normalize_lp(v, p))
-    if n <= _PATTERN_MAX_N:
-        pats = _sign_patterns(n, p)
-        starts.append(pats[int(np.argmin(evaluate_many(G, pats)))])
-    n_structured = len(starts)
-    for e in G.edges()[:_edge_start_budget(opts, n_structured, G.num_edges)]:
+    if sense > 0:
+        starts, stream, keep = [np.full(n, n ** (-1.0 / p)), *warm], opts.seed, 1 + len(extra)
+    else:
+        starts, stream = warm, [opts.seed, 1]
+        if n <= _PATTERN_MAX_N:
+            pats = _sign_patterns(n, p)
+            starts.append(pats[int(np.argmin(evaluate_many(G, pats)))])
+        keep = len(starts) + 1
+    room = opts.restarts - len(starts) - max(1, opts.restarts // 3)
+    for e in G.edges()[:max(min(_MAX_EDGE_STARTS, room), 0)]:
         x = np.zeros(n)
         x[list(e)] = 1.0
-        x[e[0]] = -1.0
+        x[e[0]] = sense
         starts.append(normalize_lp(x, p))
-    rng = np.random.default_rng(np.random.SeedSequence([opts.seed, 1]))
-    n_random = max(opts.restarts - len(starts), 1)
-    for y in _random_simplex_points(rng, n_random, n):
-        signs = rng.integers(0, 2, n) * 2 - 1
-        starts.append(signs * y ** (1.0 / p))
-    return starts[:max(opts.restarts, n_structured + 1)]
+    rng = np.random.default_rng(np.random.SeedSequence(stream))
+    ys = [y ** (1.0 / p) for y in simplex_points(rng, max(opts.restarts - len(starts), 1))]
+    if sense < 0:
+        ys = [(rng.integers(0, 2, n) * 2 - 1) * y for y in ys]
+    return (starts + ys)[:max(opts.restarts, keep)]
 
 
 def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
@@ -741,9 +713,8 @@ def _concavity_gap(G, p, x, lam) -> float:
     return G.rank / p * (float(quot.max()) - lam)
 
 
-def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bool]:
-    """The candidates of the restarts that ran for `target`, and whether the
-    regime certifies the optimum.
+def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
+    """The candidates of the restarts that ran for `target`.
 
     With an odd transversal the minimum is one candidate: the maximizer with
     signs flipped on it, with the maximum's status.  `top` is the caller's
@@ -752,12 +723,10 @@ def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bo
     vectors.  The maximum at p >= r stops at its first candidate that
     meets tol with a concavity gap of at most tol * max(1, lam).
     """
-    extra = list(extra)
     if target == "max":
         sense, step = 1.0, _fixed_point_step(default_shift(G))
-        certified = p == 1.0 or p >= G.rank
         cands = []
-        for x0 in _max_starts(G, p, opts, extra):
+        for x0 in _starts(G, p, opts, extra, sense):
             c = _run_start(G, p, x0, opts, sense, step)
             cands.append(c)
             if p >= G.rank:
@@ -772,30 +741,52 @@ def _candidates(G, p, opts, target, extra=(), top=None) -> tuple[list[_Cand], bo
                        or lambda_max(G, p, opts, initial_vectors=extra))
             x = top.vector.coords.copy()
             x[list(ot)] = -x[list(ot)]
-            certified = top.status == "converged"
-            return [_Cand(x, evaluate(G, x), top.residual, top.iterations, certified)], certified
-        sense, certified = -1.0, False
+            return [_Cand(x, evaluate(G, x), top.residual, top.iterations,
+                          top.status == "converged")]
+        sense = -1.0
         # the first-order step moves the coordinate Newton solves in
         step = (_fixed_point_step(default_shift(G), sense) if _z_exponent(p) > 1.0
                 else _armijo_step)
         cands = [_run_start(G, p, x0, opts, sense, step)
-                 for x0 in _min_starts(G, p, opts, extra)]
+                 for x0 in _starts(G, p, opts, extra, sense)]
     if p == 1.0:
         cands = _refine_tied_simplex(G, cands, sense, opts.tol)
-    return cands, certified
+    return cands
 
 
-def _solve(G, p, opts, target, extra=(), top=None) -> EigenResult:
-    """The best candidate of `target` for a checked p (see `_candidates`)."""
+def _warm_vectors(G, vecs) -> list[np.ndarray]:
+    """The warm vectors as float arrays; a vector not of shape (n,) or with a
+    non-finite entry is refused.  A zero vector passes and starts nothing."""
+    out = []
+    for i, v in enumerate(vecs):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (G.n_vertices,):
+            raise ValueError(f"warm vector {i} has shape {v.shape}, "
+                             f"expected ({G.n_vertices},)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"warm vector {i} has a non-finite entry")
+        out.append(v)
+    return out
+
+
+def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
+    """The best candidate of `target` for a checked p (see `_candidates`).
+
+    It is "converged" when it met tol and, for the maximum, p = 1 or its
+    concavity gap is at most tol * max(1, lam) (the gap is NaN at 1 < p < r);
+    for the minimum, when the support has an odd transversal.
+    """
+    extra = _warm_vectors(G, extra)
     if G.n_vertices == 0 or G.num_edges == 0:
         vec = PointOnSphere(np.zeros(G.n_vertices), p, normalized=False)
         return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
-    cands, certified = _candidates(G, p, opts, target, extra, top)
+    cands = _candidates(G, p, opts, target, extra, top)
     win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
-    if target == "max" and p >= G.rank:
-        # the concave regime certifies the winner only through its gap
-        certified = win.gap <= opts.tol * max(1.0, win.lam)
-    status = "converged" if (win.tol_met and certified) else "best-effort"
+    if target == "max":
+        converged = p == 1.0 or win.gap <= opts.tol * max(1.0, win.lam)
+    else:
+        converged = odd_transversal(G) is not None
+    status = "converged" if (win.tol_met and converged) else "best-effort"
     return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
                        win.res, win.iters, len(cands), status, p, target, win.gap)
 
@@ -809,7 +800,7 @@ def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
     cands = _candidates(G, check_exponent(p), opts or SolveOptions(), target,
-                        initial_vectors)[0]
+                        _warm_vectors(G, initial_vectors))
     return [(c.lam, c.x, c.res) for c in cands]
 
 

@@ -492,7 +492,7 @@ def test_dense_rank4_minimum_no_higher_than_before_the_polish(monkeypatch):
 
 
 def test_min_restarts_never_end_above_their_start():
-    from pspectral.solver import _min_starts
+    from pspectral.solver import _starts
     rng = np.random.default_rng(16)
     cases = [(EXAMPLE2, 1.118)]
     while len(cases) < 6:
@@ -500,7 +500,7 @@ def test_min_restarts_never_end_above_their_start():
         if ps.odd_transversal(G) is None:
             cases.append((G, float(rng.uniform(1.1, G.rank + 1.0))))
     for G, p in cases:
-        starts = _min_starts(G, p, POOL, [])
+        starts = _starts(G, p, POOL, [], -1.0)
         outs = ps.solve_restarts(G, p, "min", POOL)
         assert len(outs) == len(starts)
         for x0, (lam, _, _) in zip(starts, outs):
@@ -647,11 +647,10 @@ def test_oracle_is_one_sided():
 
 
 def test_oracle_polish_uses_only_the_batch_kernel(monkeypatch):
-    import scipy.optimize
+    # that no scipy runs at all is test_package_imports_no_scipy's to check
     from pspectral import polyform, solver
     calls = []
-    for mod, name in ((scipy.optimize, "minimize"), (polyform, "evaluate"),
-                      (solver, "evaluate")):
+    for mod, name in ((polyform, "evaluate"), (solver, "evaluate")):
         real = getattr(mod, name)
         monkeypatch.setattr(mod, name, lambda *a, real=real, name=name, **k:
                             calls.append(name) or real(*a, **k))
@@ -934,6 +933,51 @@ def test_pool_traffic_bit_identical():
     assert h.hexdigest() == "825b47cb98c553a5d2c2f402809bcb3137619edb449d9882b0c3cabe2e0c59b4"
 
 
+def test_start_lists_bit_identical():
+    # every start list of both targets, -0.0 entries included, recorded
+    # through the separate maximum and minimum builders that `_starts` replaced
+    from pspectral.solver import _starts
+    graphs = [ps.random_gnp(2, 5, 0.6, 1), ps.random_gnp(3, 6, 0.5, 2),
+              ps.random_gnp(4, 6, 0.5, 3), ps.random_gnp(2, 8, 0.4, 4),
+              ps.random_gnp(3, 9, 0.3, 5), ps.random_gnp(4, 7, 0.4, 6)]
+    rng = np.random.default_rng(3)
+    h = hashlib.sha256()
+    for G in graphs:
+        n = G.n_vertices
+        v = rng.uniform(-1.0, 1.0, n)
+        v[:2] = (-0.0, 0.0)
+        for p in sorted({1.0, 1.5, 2.0, float(G.rank), G.rank + 1.0}):
+            for restarts in (1, 4, 32):
+                opts = ps.SolveOptions(restarts=restarts, seed=9)
+                for warm in ([], [v], [-np.zeros(n), v, np.abs(v)]):
+                    for sense in (1.0, -1.0):
+                        starts = _starts(G, p, opts, warm, sense)
+                        h.update(len(starts).to_bytes(4, "little"))
+                        for x in starts:
+                            h.update(x.tobytes())
+    assert h.hexdigest() == "27a0dc1337278e19a75848a7baf76827a385283adcb65a43d4591288eaf9a8c5"
+
+
+def test_malformed_warm_vectors_are_refused():
+    G = ps.cycle(3, 7)
+    calls = (lambda w: ps.lambda_max(G, 2.0, FAST, initial_vectors=w),
+             lambda w: ps.lambda_min(G, 2.0, FAST, initial_vectors=w),
+             lambda w: ps.extremes(G, 2.0, FAST, warm_min=w),
+             lambda w: ps.solve_restarts(G, 2.0, "min", FAST, initial_vectors=w),
+             lambda w: ps.lambda_max(ps.WeightedHypergraph(3, 7, {}), 2.0, FAST,
+                                     initial_vectors=w))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"vector 0 has shape \(5,\), expected \(7,\)"):
+            call([np.ones(5)])
+        with pytest.raises(ValueError, match="warm vector 1 has a non-finite entry"):
+            call([np.ones(7), np.full(7, np.nan)])
+        with pytest.raises(ValueError, match="non-finite"):
+            call([np.array([1.0, np.inf, 0, 0, 0, 0, 0])])
+    # a zero vector stays accepted, and starts nothing
+    assert _bits(ps.lambda_max(G, 2.0, FAST, initial_vectors=[np.zeros(7)])) == \
+        _bits(ps.lambda_max(ps.cycle(3, 7), 2.0, FAST))
+
+
 def test_same_seed_same_result():
     G = ps.random_gnp(3, 8, 0.5, 4)
     a = ps.lambda_max(G, 2.0, ps.SolveOptions(restarts=8, seed=5))
@@ -987,7 +1031,7 @@ def test_lagrangian_below_one():
 
 # p = 1: Newton on the KKT face of the first-order point ----------------------
 
-def test_p1_solves_import_no_scipy(tmp_path):
+def test_package_imports_no_scipy(tmp_path):
     path = tmp_path / "g.json"
     ps.write_file(ps.random_gnp(3, 9, 0.4, 1), path)
     script = textwrap.dedent(f"""
@@ -998,6 +1042,9 @@ def test_p1_solves_import_no_scipy(tmp_path):
         for G in (ps.random_gnp(3, 9, 0.4, 1), ps.cycle(2, 5)):
             ps.lambda_max(G, 1.0, opts)
             ps.lambda_min(G, 1.0, opts)
+        ps.lambda_max(ps.cycle(3, 7), 2.0, opts)
+        ps.lambda_min(ps.cycle(2, 5), 2.5, opts)
+        ps.brute_force_lambda(ps.cycle(2, 5), 1.5, "min", 500, 0)
         cli.main(["bounds", "--input", {str(path)!r}, "--p", "1", "--json"])
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
