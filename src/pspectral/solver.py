@@ -3,14 +3,14 @@ l^p unit sphere, with certified stationarity residuals, a sampling oracle,
 and Collatz-Wielandt style envelopes.
 
 Algorithm map
-  One builder (`_starts`) makes the starts of either target, and each runs
-  through `_run_start`.
-  p = 1: the simplex method in the start's sign orthant, where the l^1
-    sphere is a simplex and each weight takes the sign of its edge's
-    coordinates; Newton on the KKT system of the face it ends on polishes
-    the value-tied candidates.  The maximum starts in the nonnegative
-    orthant, the even-rank minimum in every orthant up to global sign for
-    n <= 6 and in random ones beyond.  No residual is defined at p = 1.
+  One builder (`_starts`) makes the starts of either target, and every one
+  runs through `_sphere_loop`; only its step depends on p and the target.
+  p = 1: the l^1 sphere is a simplex in each sign orthant, and the step
+    (`_simplex_step`) is projected gradient on the simplex of the iterate's
+    orthant; Newton on the KKT system of the face it ends on polishes the
+    value-tied candidates.  The maximum starts in the nonnegative orthant,
+    the even-rank minimum in every orthant up to global sign for n <= 6 and
+    in random ones beyond.  No residual is defined at p = 1.
   target max, p > 1: `_sphere_loop` on the nonnegative part of the sphere,
     stepping by the shifted fixed-point map (SS-HOPM)
     x <- normalize((grad/r + shift * x^(p-1))^(1/(p-1))), from the uniform
@@ -37,12 +37,14 @@ Algorithm map
     tiny entries, and descent in x crawled thousands of iterations toward
     them.  At p >= 2 it is x itself, stepped by projected gradient descent.
   `_sphere_loop` runs its step in chunks of 20, 40, ... (at most 5000)
-    iterations; both steps cost one gradient per iterate or trial (two on a
-    fixed-point fallback), its value taken by the Euler identity
-    x . grad / r.  Once an iterate's relative residual is at most 1e-2 (or
-    after 500 iterations, or when the value has stopped moving) Newton on the
-    stationarity system polishes it, at the first such iterate of each chunk
-    and at the chunk's end, in the dual point u = sign(x)|x|^(p-1) for p < 2.
+    iterations.  At p > 1 both steps cost one gradient per iterate or trial
+    (two on a fixed-point fallback), its value taken by the Euler identity
+    x . grad / r; the simplex step costs one gradient per iterate and takes
+    each value from the edge products.  Once an iterate's relative residual
+    is at most 1e-2 (or after 500 iterations, or when the value has stopped
+    moving) Newton on the stationarity system polishes it, at the first such
+    iterate of each chunk and at the chunk's end, in the dual point
+    u = sign(x)|x|^(p-1) for p < 2.
     Each Newton step is an LU solve of the square (n+1)-system, with a
     least-squares (SVD) solve as the fallback when LU finds it singular or
     its step is not finite; on the p = 1 face every step is the
@@ -51,7 +53,7 @@ Algorithm map
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
     A positive Newton point of the maximum at p >= r needs no such test.
-  The backtracking searches, `_armijo_step`, the p = 1 simplex step and
+  The backtracking searches, `_armijo_step`, `_simplex_step` and
     `_newton_polish`'s saddle escape, halve their step at most
     `_MAX_HALVINGS` (10) times; a search that finds no progress within that
     budget takes no step, as at a stationary point.
@@ -79,11 +81,11 @@ import numpy as np
 
 from .combinatorics import odd_transversal
 from .hypergraph import WeightedHypergraph, _as_int
-from .polyform import (PointOnSphere, _loo_gradient, check_exponent, evaluate,
-                       evaluate_many, gradient, hessian, lp_norm, normalize_lp)
+from .polyform import (PointOnSphere, check_exponent, evaluate, evaluate_many,
+                       gradient, hessian, lp_norm, normalize_lp)
 
 _STABLE_ITERS = 10
-# step halvings per backtracking search (`_armijo_step`, `_pgd_simplex`): no
+# step halvings per backtracking search (`_armijo_step`, `_simplex_step`): no
 # successful search in the tests needs more than 6, and a converged restart
 # proves itself by a search that fails every trial
 _MAX_HALVINGS = 10
@@ -310,16 +312,23 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     polished point that meets tol ends the restart; a step off a saddle
     resumes the iteration; a failed try waits for the next chunk.  The
     maximum (sense +1) stays on the nonnegative part of the sphere.
+    At p = 1 the restart starts on the simplex of x0's sign orthant and
+    counts every residual as 0, so it ends after 10 stable values or a step
+    that finds no progress, and Newton never runs.
 
     `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g) at the new point,
-    lam from the Euler identity x . grad / r, or None when it makes no
-    progress.  The value reported is `evaluate` at the last x.
+    lam from the Euler identity x . grad / r at p > 1 and from the edge
+    products at p = 1 (g may be None: the loop then takes it), or None when
+    it makes no progress.  The value reported is `evaluate` at the last x,
+    and at p = 1 the step's own value, with residual NaN.
     """
     x = np.asarray(x0, dtype=np.float64)
-    if sense > 0:
-        x = np.maximum(x, 0.0)
-    x = normalize_lp(x, p)
     eta = g = lam = lam_prev = None
+    if p == 1.0:
+        x = np.where(np.signbit(x), -1.0, 1.0) * _project_simplex(np.abs(x))
+        lam = _simplex_value(*G.arrays(), x)
+    else:
+        x = normalize_lp(np.maximum(x, 0.0) if sense > 0 else x, p)
     stable = 0
     stalled = 0
     it = 0
@@ -332,7 +341,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
             g = gradient(G, x)
         if lam is None:
             lam = float(x @ g) / G.rank
-        res = _residual_from_grad(G.rank, p, lam, x, g)
+        res = 0.0 if p == 1.0 else _residual_from_grad(G.rank, p, lam, x, g)
         stable, stalled = _settle(lam, lam_prev, res, tol, stable, stalled)
         if stable >= _STABLE_ITERS:
             met = True
@@ -362,8 +371,13 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
         lam_prev = lam
         x, lam, eta, g = moved
     else:
-        res = _residual_from_grad(G.rank, p, evaluate(G, x), x, gradient(G, x))
-    return _Cand(x, evaluate(G, x), res, it, met)
+        res = None      # max_iter ran out: the last step's residual is not known
+    if p == 1.0:
+        return _Cand(x, lam, math.nan, it, met)
+    value = evaluate(G, x)
+    if res is None:
+        res = _residual_from_grad(G.rank, p, value, x, gradient(G, x))
+    return _Cand(x, value, res, it, met)
 
 
 def _newton_polish(G, p, x, lam, tol, sense):
@@ -557,36 +571,32 @@ def _simplex_value(idx, w, y) -> float:
     return math.factorial(idx.shape[1]) * float(np.prod(y[idx], axis=1) @ w)
 
 
-def _pgd_simplex(n, idx, w, y0, tol, max_iter, sense) -> _Cand:
-    """Projected gradient over the probability simplex; weights may be signed.
-    The run ends, as converged, when no step within `_MAX_HALVINGS` halvings
-    improves the value."""
-    y = _project_simplex(np.asarray(y0, dtype=np.float64))
-    val = _simplex_value(idx, w, y)
-    val_prev = None
-    eta = None
-    stable = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        g = _loo_gradient(idx, w, y, n)
-        # no residual is defined at p = 1: the value alone decides
-        stable, _ = _settle(val, val_prev, 0.0, tol, stable, 0)
-        if stable >= _STABLE_ITERS:
-            return _Cand(y, val, math.nan, it, True)
+def _simplex_step(sense):
+    """Projected gradient toward the extremum `sense` on the simplex of x's
+    sign orthant s (a -0.0 entry counts as -), as a step of `_sphere_loop`:
+    x <- s * proj(s*x + sense*eta*s*grad), eta halved until the value
+    r! sum_e w_e prod_{k in e} x_k moves toward `sense`.  The factors +-1 are
+    exact, so this is the simplex method on the weights w_e prod_{k in e} s_k
+    bit for bit.  Returns (x, lam, eta, None), or None when no step within
+    `_MAX_HALVINGS` halvings moves the value."""
+    def step(G, p, x, lam, g, eta):
+        idx, w = G.arrays()
+        neg = np.signbit(x)
+        s = np.where(neg, -1.0, 1.0) if neg.any() else None     # None: all +1
+        if s is not None:
+            x, g = s * x, s * g
         if eta is None:
             eta = 1.0 / max(1.0, float(np.abs(g).max()))
         for k in range(_MAX_HALVINGS):
-            trial = _project_simplex(y + sense * eta * g)
-            val_t = _simplex_value(idx, w, trial)
-            if sense * (val_t - val) > 1e-14 * max(1.0, abs(val)):
-                val_prev, y, val = val, trial, val_t
-                if k == 0:
-                    eta *= 1.5
-                break
+            trial = _project_simplex(x + sense * eta * g)
+            if s is not None:
+                trial = s * trial
+            lam_t = _simplex_value(idx, w, trial)
+            if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
+                return trial, lam_t, 1.5 * eta if k == 0 else eta, None
             eta *= 0.5
-        else:
-            return _Cand(y, val, math.nan, it, True)
-    return _Cand(y, val, math.nan, it, False)
+        return None
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +667,7 @@ def _starts(G, p, opts, extra, sense):
                        for y in (np.full(n, 1.0 / n), *simplex_points(rng, 1))]
         return starts
     if sense > 0:
-        starts, stream, keep = [np.full(n, n ** (-1.0 / p)), *warm], opts.seed, 1 + len(extra)
+        starts, stream, keep = [np.full(n, n ** (-1.0 / p)), *warm], opts.seed, 1 + len(warm)
     else:
         starts, stream = warm, [opts.seed, 1]
         if n <= _PATTERN_MAX_N:
@@ -685,19 +695,6 @@ def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
     return min(pool, key=lambda c: tuple(c.x.tolist()))
 
 
-def _run_start(G, p, x0, opts, sense, step) -> _Cand:
-    """One restart from x0.  At p = 1: the simplex method in x0's sign
-    orthant s, on the weights w_e prod_{k in e} s_k from |x0|; at p > 1:
-    `_sphere_loop` with `step`."""
-    if p == 1.0:
-        s = np.where(np.signbit(x0), -1.0, 1.0)
-        idx, w = G.arrays()
-        c = _pgd_simplex(G.n_vertices, idx, w * np.prod(s[idx], axis=1), np.abs(x0),
-                         opts.tol, opts.max_iter, sense)
-        return _Cand(s * c.x, c.lam, math.nan, c.iters, c.tol_met)
-    return _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
-
-
 def _concavity_gap(G, p, x, lam) -> float:
     """Frank-Wolfe gap (Jaggi, ICML 2013) of a nonnegative unit x with value
     lam at p >= r, where the value is concave in y = x^p on the simplex: the
@@ -723,32 +720,31 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
     vectors.  The maximum at p >= r stops at its first candidate that
     meets tol with a concavity gap of at most tol * max(1, lam).
     """
-    if target == "max":
-        sense, step = 1.0, _fixed_point_step(default_shift(G))
-        cands = []
-        for x0 in _starts(G, p, opts, extra, sense):
-            c = _run_start(G, p, x0, opts, sense, step)
-            cands.append(c)
-            if p >= G.rank:
-                c.gap = _concavity_gap(G, p, c.x, c.lam)
-                if c.tol_met and c.gap <= opts.tol * max(1.0, c.lam):
-                    break
+    ot = odd_transversal(G) if target == "min" else None
+    if ot is not None:
+        if top is None:
+            top = (_recorded_max(G, _max_key(p, opts, extra))
+                   or lambda_max(G, p, opts, initial_vectors=extra))
+        x = top.vector.coords.copy()
+        x[list(ot)] = -x[list(ot)]
+        return [_Cand(x, evaluate(G, x), top.residual, top.iterations,
+                      top.status == "converged")]
+    sense = 1.0 if target == "max" else -1.0
+    # the minimum's first-order step moves the coordinate Newton solves in
+    if p == 1.0:
+        step = _simplex_step(sense)
+    elif sense > 0 or _z_exponent(p) > 1.0:
+        step = _fixed_point_step(default_shift(G), sense)
     else:
-        ot = odd_transversal(G)
-        if ot is not None:
-            if top is None:
-                top = (_recorded_max(G, _max_key(p, opts, extra))
-                       or lambda_max(G, p, opts, initial_vectors=extra))
-            x = top.vector.coords.copy()
-            x[list(ot)] = -x[list(ot)]
-            return [_Cand(x, evaluate(G, x), top.residual, top.iterations,
-                          top.status == "converged")]
-        sense = -1.0
-        # the first-order step moves the coordinate Newton solves in
-        step = (_fixed_point_step(default_shift(G), sense) if _z_exponent(p) > 1.0
-                else _armijo_step)
-        cands = [_run_start(G, p, x0, opts, sense, step)
-                 for x0 in _starts(G, p, opts, extra, sense)]
+        step = _armijo_step
+    cands = []
+    for x0 in _starts(G, p, opts, extra, sense):
+        c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
+        cands.append(c)
+        if sense > 0 and p >= G.rank:
+            c.gap = _concavity_gap(G, p, c.x, c.lam)
+            if c.tol_met and c.gap <= opts.tol * max(1.0, c.lam):
+                break
     if p == 1.0:
         cands = _refine_tied_simplex(G, cands, sense, opts.tol)
     return cands

@@ -177,8 +177,8 @@ def test_fixed_point_steps_never_lower_the_value(monkeypatch):
     steps, images = [], []
     real_step, real_image = solver._fixed_point_step, solver._shifted_image
 
-    def spy_step(cap):
-        step = real_step(cap)
+    def spy_step(cap, *a):
+        step = real_step(cap, *a)
 
         def wrapped(G, p, x, lam, g, eta):
             moved = step(G, p, x, lam, g, eta)
@@ -423,8 +423,8 @@ def test_writing_into_a_returned_maximum_leaves_the_record(monkeypatch):
 def test_lambda_max_always_solves_and_the_record_stays_small(monkeypatch):
     from pspectral import solver
     starts = []
-    real = solver._run_start
-    monkeypatch.setattr(solver, "_run_start", lambda *a: starts.append(1) or real(*a))
+    real = solver._sphere_loop
+    monkeypatch.setattr(solver, "_sphere_loop", lambda *a: starts.append(1) or real(*a))
     G = ps.cycle(3, 7)
     for _ in range(2):
         starts.clear()
@@ -841,6 +841,28 @@ def test_simplex_gradient_with_signed_weights_matches_finite_differences():
         assert np.max(np.abs(g - fd)) / max(1.0, float(np.abs(g).max())) < 1e-6
 
 
+def test_simplex_step_keeps_a_zeroed_entry_in_its_orthant():
+    # the p = 1 step finds its orthant from the sign bits of x, so an entry
+    # that the projection zeroes in a negative orthant must stay -0.0: a +0.0
+    # would move it to the positive orthant and flip its gradient's sign
+    from pspectral import solver
+    # in the orthant (+, -, -) the minimum -0.5 is at (0.5, -0.5, -0.0); once
+    # x_2 is zero, a + there would lead to (0, -0.5, 0.5) with value -1
+    G = ps.WeightedHypergraph(2, 3, {(0, 1): 1.0, (1, 2): 2.0})
+    x = np.array([0.45, -0.45, -0.1])
+    lam = solver._simplex_value(*G.arrays(), x)
+    y, lam_y, _, _ = solver._simplex_step(-1.0)(G, 1.0, x, lam, ps.gradient(G, x), None)
+    assert lam_y < lam
+    assert y[2] == 0.0 and np.signbit(y[2])
+    assert np.array_equal(np.signbit(y), np.signbit(x))
+    # and through a whole restart, which starts on the simplex of that orthant
+    for x0 in (x, np.array([0.5, -0.5, -0.0])):
+        c = solver._sphere_loop(G, 1.0, x0, 1e-10, 1000, -1.0, solver._simplex_step(-1.0))
+        assert c.tol_met and c.lam == pytest.approx(-0.5, abs=1e-9)
+        assert np.allclose(c.x, [0.5, -0.5, 0.0], atol=1e-6)
+        assert c.x[2] == 0.0 and np.signbit(c.x[2])
+
+
 # determinism ----------------------------------------------------------------
 
 def test_serial_parallel_bit_identical():
@@ -935,7 +957,10 @@ def test_pool_traffic_bit_identical():
 
 def test_start_lists_bit_identical():
     # every start list of both targets, -0.0 entries included, recorded
-    # through the separate maximum and minimum builders that `_starts` replaced
+    # through the separate maximum and minimum builders that `_starts` replaced;
+    # re-recorded when the maximum stopped counting an all-zero warm vector in
+    # its truncation: its 28 lists with restarts 1 and the warm list
+    # [-0.0 vector, v, |v|] lost the last of their 4 starts
     from pspectral.solver import _starts
     graphs = [ps.random_gnp(2, 5, 0.6, 1), ps.random_gnp(3, 6, 0.5, 2),
               ps.random_gnp(4, 6, 0.5, 3), ps.random_gnp(2, 8, 0.4, 4),
@@ -955,7 +980,7 @@ def test_start_lists_bit_identical():
                         h.update(len(starts).to_bytes(4, "little"))
                         for x in starts:
                             h.update(x.tobytes())
-    assert h.hexdigest() == "27a0dc1337278e19a75848a7baf76827a385283adcb65a43d4591288eaf9a8c5"
+    assert h.hexdigest() == "d173c99cdefffc639d2ccdc304d5e4ccbd288937269dfe5dcef63ed7f7d931da"
 
 
 def test_malformed_warm_vectors_are_refused():
@@ -973,9 +998,12 @@ def test_malformed_warm_vectors_are_refused():
             call([np.ones(7), np.full(7, np.nan)])
         with pytest.raises(ValueError, match="non-finite"):
             call([np.array([1.0, np.inf, 0, 0, 0, 0, 0])])
-    # a zero vector stays accepted, and starts nothing
-    assert _bits(ps.lambda_max(G, 2.0, FAST, initial_vectors=[np.zeros(7)])) == \
-        _bits(ps.lambda_max(ps.cycle(3, 7), 2.0, FAST))
+    # a zero vector stays accepted, and starts nothing: it adds no restart
+    # to the maximum's truncation even at restarts=1
+    for opts in (FAST, ps.SolveOptions(restarts=1)):
+        for p in (1.0, 2.0):
+            assert _bits(ps.lambda_max(G, p, opts, initial_vectors=[np.zeros(7)])) == \
+                _bits(ps.lambda_max(ps.cycle(3, 7), p, opts))
 
 
 def test_same_seed_same_result():
