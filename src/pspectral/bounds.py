@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
-from .hypergraph import WeightedHypergraph, complement, complete_multipartite, k_section
+from .hypergraph import WeightedHypergraph, complement
 from .polyform import check_exponent
 
 
@@ -359,39 +359,3 @@ def entry_bounds(G: WeightedHypergraph, p: float, result) -> list[BoundReport]:
                            "spread inequality linking the smallest |x_k|^p, the "
                            "minimum degree, and the maximum value", lhs))
     return out
-
-
-# ---------------------------------------------------------------------------
-# extras referenced by the verification suite
-# ---------------------------------------------------------------------------
-
-def two_section_chromatic_bound(G: WeightedHypergraph, opts=None) -> BoundReport:
-    """Weak chromatic number is at most max-of-2-section/(r-1) + 1."""
-    from .solver import SolveOptions, lambda_max
-
-    opts = opts or SolveOptions()
-    sec = k_section(G, 2) if G.rank > 2 else G
-    top = lambda_max(sec, 2.0, opts).value
-    bound = top / (G.rank - 1) + 1.0
-    chi = comb.chromatic_number_exact(G)
-    return _report("two-section-chromatic", "upper", bound, True,
-                   "chi(G) <= max(2-section)/(r-1) + 1", float(chi))
-
-
-def hofmeister_limitation(r: int, k: int, eps: float = 0.5):
-    """Fixture: complete r-partite graph with parts 1, k, ..., k for which the
-    degree power mean with exponent r/(r-1)+eps exceeds the maximum value.
-
-    Returns (G, max value at p = r via the r-partite equality case, power
-    mean side).  For k large the strict inequality demonstrates that degree
-    power means above exponent r/(r-1) cannot lower-bound the maximum.
-    """
-    if r < 2 or k < 1:
-        raise ValueError(f"fixture needs r >= 2 and k >= 1, got r={r}, k={k}")
-    G = complete_multipartite(r, [1] + [k] * (r - 1))
-    size = float(k ** (r - 1))
-    lam = (math.factorial(r) / r) * size ** (1.0 - 1.0 / r)
-    q = r / (r - 1.0) + eps
-    deg = G.degrees()
-    power_mean = math.factorial(r - 1) * float(np.mean(deg ** q)) ** (1.0 / q)
-    return G, lam, power_mean

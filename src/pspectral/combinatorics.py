@@ -18,7 +18,6 @@ import numpy as np
 from .hypergraph import WeightedHypergraph
 
 TIGHTNESS_BUDGET = 20     # exact subset enumeration bound for is_k_tight
-EXHAUSTIVE_BUDGET = 24    # subset enumeration bound for transversal search
 COLORING_BUDGET = 16      # exact chromatic / partiteness search bound
 STAR_BUDGET = 64          # edges through one vertex in the beta-degree search
 
@@ -230,23 +229,6 @@ def even_transversal(G: WeightedHypergraph) -> frozenset[int] | None:
     for vec in basis:
         if 0 < vec < full:
             return _mask_to_set(vec, n)
-    return None
-
-
-def transversal_exhaustive(G: WeightedHypergraph, parity: int,
-                           proper: bool = False) -> frozenset[int] | None:
-    """Subset-enumeration oracle for the GF(2) transversal solver (n <= 24)."""
-    n = G.n_vertices
-    if n > EXHAUSTIVE_BUDGET:
-        raise ValueError(f"exhaustive transversal search exceeds budget (n={n})")
-    edge_masks = [sum(1 << v for v in e) for e in G.edges()]
-    full = (1 << n) - 1
-    start = 1 if (proper or parity == 1 and edge_masks) else 0
-    for mask in range(start, 1 << n):
-        if proper and mask in (0, full):
-            continue
-        if all((mask & em).bit_count() % 2 == parity for em in edge_masks):
-            return _mask_to_set(mask, n)
     return None
 
 

@@ -23,11 +23,11 @@ Algorithm map
     simplex, so a candidate's Frank-Wolfe gap (`_concavity_gap`) bounds how
     far the optimum lies above it; the restarts stop at the first candidate
     that meets tol with a gap of at most tol * max(1, lam).
-  target min with an odd transversal T of the support (every odd rank has
-    one): flipping signs on T negates every edge product, so the minimum is
-    the maximizer with signs flipped on T, at every rank and p, and no
-    minimum restart runs.  The maximizer is the caller's (`extremes`), else
-    one `lambda_max` recorded on the graph with the same arguments, else new.
+  target min, flipped (`_flip_set`): P(-x) = -P(x) at odd rank, and at even
+    rank flipping signs on an odd transversal T negates every edge product,
+    so the minimum is -x, or x flipped on T, for the maximizer x at every p,
+    and no minimum restart runs.  x is the caller's (`extremes`), else that
+    of a recorded or a new `lambda_max` with the same arguments.
   target min, even rank, otherwise: `_sphere_loop` on the full sphere, from
     sign-randomized restarts plus the best -1/0/+1 sign pattern for n <= 6,
     stepping in the coordinate Newton solves in.  At 1 < p < 2 that is the
@@ -63,8 +63,8 @@ best-of-restarts value is reported with status "best-effort".  "converged"
 needs tol met and, at p >= r, a winner's gap of at most tol * max(1, lam)
 (an edgeless graph is trivially "converged").  At p = 1 it means only that
 the simplex iteration met tol, no global certificate: a clique's uniform
-weighting is a local maximum (Motzkin & Straus) that can win.  An
-odd-transversal minimum takes its maximum's status.
+weighting is a local maximum (Motzkin & Straus) that can win.  A
+flipped minimum takes its maximum's status.
 
 Restarts are independent given the seed and run one after another; the
 best candidate of those that ran wins, with value ties broken toward the
@@ -90,7 +90,7 @@ _STABLE_ITERS = 10
 # proves itself by a search that fails every trial
 _MAX_HALVINGS = 10
 _MAX_EDGE_STARTS = 8
-_RECORDED_MAXIMA = 8    # maxima kept per graph for the odd-transversal minimum
+_RECORDED_MAXIMA = 8    # maxima kept per graph for the flipped minimum
 _PATTERN_MAX_N = 6      # all 3^n sign patterns, or 2^(n-1) at p = 1, are tried
 # _sphere_loop's Newton polish (see its docstring); tried earlier than the
 # gate, Newton can settle on a worse local minimum than the descent reaches
@@ -318,9 +318,10 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
 
     `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g) at the new point,
     lam from the Euler identity x . grad / r at p > 1 and from the edge
-    products at p = 1 (g may be None: the loop then takes it), or None when
-    it makes no progress.  The value reported is `evaluate` at the last x,
-    and at p = 1 the step's own value, with residual NaN.
+    products at p = 1 (g may be None: the loop then takes it; eta is the
+    step's own state, None as a restart starts), or None when it makes no
+    progress.  The value reported is `evaluate` at the last x, and at p = 1
+    the step's own value, with residual NaN.
     """
     x = np.asarray(x0, dtype=np.float64)
     eta = g = lam = lam_prev = None
@@ -329,10 +330,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
         lam = _simplex_value(*G.arrays(), x)
     else:
         x = normalize_lp(np.maximum(x, 0.0) if sense > 0 else x, p)
-    stable = 0
-    stalled = 0
-    it = 0
-    res = math.inf
+    stable = stalled = 0
     met = False
     armed = True
     chunk = check_at = _FIRST_CHUNK
@@ -361,8 +359,7 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
             if polished is not None:
                 x, lam, res_y, met = polished
                 if met:
-                    res = res_y
-                    break
+                    return _Cand(x, lam, res_y, it, True)
                 eta, g, lam_prev, stable, stalled = None, None, None, 0, 0
                 continue
         if moved is None:
@@ -394,7 +391,10 @@ def _newton_polish(G, p, x, lam, tol, sense):
     nonneg = sense > 0
     with np.errstate(all="ignore"):
         y = _newton_stationary(G, p, x, lam, tol)
-    if y is None or (nonneg and (y < 0.0).any()):
+    if nonneg and y is not None and (y < 0.0).any():
+        y = np.maximum(y, 0.0)      # roundoff below a zero entry, to -1e-28 at p < 2
+        y = y / lp_norm(y, p) if y.any() else None
+    if y is None:
         return None
     lam_y = evaluate(G, y)
     res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
@@ -577,23 +577,26 @@ def _simplex_step(sense):
     x <- s * proj(s*x + sense*eta*s*grad), eta halved until the value
     r! sum_e w_e prod_{k in e} x_k moves toward `sense`.  The factors +-1 are
     exact, so this is the simplex method on the weights w_e prod_{k in e} s_k
-    bit for bit.  Returns (x, lam, eta, None), or None when no step within
-    `_MAX_HALVINGS` halvings moves the value."""
-    def step(G, p, x, lam, g, eta):
+    bit for bit.  No step leaves the orthant: s is read at a restart's first
+    step (state None) and kept in the state (eta, s).  Returns (x, lam,
+    state, None), or None when no step within `_MAX_HALVINGS` halvings moves
+    the value."""
+    def step(G, p, x, lam, g, state):
         idx, w = G.arrays()
-        neg = np.signbit(x)
-        s = np.where(neg, -1.0, 1.0) if neg.any() else None     # None: all +1
+        if state is None:
+            neg = np.signbit(x)
+            state = (1.0 / max(1.0, float(np.abs(g).max())),
+                     np.where(neg, -1.0, 1.0) if neg.any() else None)  # None: all +1
+        eta, s = state
         if s is not None:
             x, g = s * x, s * g
-        if eta is None:
-            eta = 1.0 / max(1.0, float(np.abs(g).max()))
         for k in range(_MAX_HALVINGS):
             trial = _project_simplex(x + sense * eta * g)
             if s is not None:
                 trial = s * trial
             lam_t = _simplex_value(idx, w, trial)
             if sense * (lam_t - lam) > 1e-14 * max(1.0, abs(lam)):
-                return trial, lam_t, 1.5 * eta if k == 0 else eta, None
+                return trial, lam_t, (1.5 * eta if k == 0 else eta, s), None
             eta *= 0.5
         return None
     return step
@@ -624,7 +627,7 @@ def _refine_tied_simplex(G, cands, sense, tol):
 
 def _sign_patterns(n: int, p: float) -> np.ndarray:
     """Every nonzero -1/0/+1 vector of length n, scaled onto the l^p sphere."""
-    pats = np.array([v for v in np.ndindex((3,) * n)], dtype=np.float64) - 1.0
+    pats = np.indices((3,) * n).reshape(n, -1).T - 1.0
     pats = pats[np.any(pats != 0.0, axis=1)]
     return pats / (np.sum(np.abs(pats) ** p, axis=1) ** (1.0 / p))[:, None]
 
@@ -713,20 +716,22 @@ def _concavity_gap(G, p, x, lam) -> float:
 def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
     """The candidates of the restarts that ran for `target`.
 
-    With an odd transversal the minimum is one candidate: the maximizer with
-    signs flipped on it, with the maximum's status.  `top` is the caller's
-    solved maximum, if any; otherwise the maximum that `lambda_max` recorded
-    on G for these arguments, or else one solved here from the warm
+    With a flip (`_flip_set`) the minimum is one candidate: the maximizer
+    with signs flipped on it, with the maximum's status.  `top` is the
+    caller's solved maximum, if any; otherwise the maximum that `lambda_max`
+    recorded on G for these arguments, or else one solved here from the warm
     vectors.  The maximum at p >= r stops at its first candidate that
     meets tol with a concavity gap of at most tol * max(1, lam).
     """
-    ot = odd_transversal(G) if target == "min" else None
-    if ot is not None:
+    flip = _flip_set(G) if target == "min" else None
+    if flip is not None:
         if top is None:
             top = (_recorded_max(G, _max_key(p, opts, extra))
                    or lambda_max(G, p, opts, initial_vectors=extra))
         x = top.vector.coords.copy()
-        x[list(ot)] = -x[list(ot)]
+        x[list(flip)] = -x[list(flip)]
+        if G.rank % 2:
+            x += 0.0            # -x + 0.0: a zero stays +0.0
         return [_Cand(x, evaluate(G, x), top.residual, top.iterations,
                       top.status == "converged")]
     sense = 1.0 if target == "max" else -1.0
@@ -750,6 +755,11 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
     return cands
 
 
+def _flip_set(G):
+    """The vertices whose sign flip negates every edge product (all at odd rank), or None."""
+    return range(G.n_vertices) if G.rank % 2 else odd_transversal(G)
+
+
 def _warm_vectors(G, vecs) -> list[np.ndarray]:
     """The warm vectors as float arrays; a vector not of shape (n,) or with a
     non-finite entry is refused.  A zero vector passes and starts nothing."""
@@ -770,7 +780,7 @@ def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
 
     It is "converged" when it met tol and, for the maximum, p = 1 or its
     concavity gap is at most tol * max(1, lam) (the gap is NaN at 1 < p < r);
-    for the minimum, when the support has an odd transversal.
+    for the minimum, when it is the flipped maximizer (`_flip_set`).
     """
     extra = _warm_vectors(G, extra)
     if G.n_vertices == 0 or G.num_edges == 0:
@@ -778,10 +788,8 @@ def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
         return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
     cands = _candidates(G, p, opts, target, extra, top)
     win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
-    if target == "max":
-        converged = p == 1.0 or win.gap <= opts.tol * max(1.0, win.lam)
-    else:
-        converged = odd_transversal(G) is not None
+    converged = (_flip_set(G) is not None if target == "min"
+                 else p == 1.0 or win.gap <= opts.tol * max(1.0, win.lam))
     status = "converged" if (win.tol_met and converged) else "best-effort"
     return EigenResult(win.lam, PointOnSphere(win.x, p, normalized=False),
                        win.res, win.iters, len(cands), status, p, target, win.gap)
@@ -792,7 +800,7 @@ def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
                    initial_vectors=()) -> list[tuple[float, np.ndarray, float]]:
     """The outcome (value, vector, residual) of every restart that ran, for
     diagnostics: the maximum at p >= r stops at its first certified restart,
-    and a minimum with an odd transversal is the one flipped maximizer."""
+    and a minimum with a flip (`_flip_set`) is the flipped maximizer alone."""
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
     cands = _candidates(G, check_exponent(p), opts or SolveOptions(), target,
@@ -832,7 +840,7 @@ def lambda_max(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
     """Best maximizer of the edge polynomial over the unit l^p sphere.
 
     Every call solves, and records its result on G for a later `lambda_min`
-    with the same arguments on a graph with an odd transversal.
+    with the same arguments at odd rank or on a graph with an odd transversal.
     """
     p, opts, warm = check_exponent(p), opts or SolveOptions(), list(initial_vectors)
     res = _solve(G, p, opts, "max", warm)
@@ -845,11 +853,11 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
                initial_vectors=()) -> EigenResult:
     """Best minimizer of the edge polynomial over the unit l^p sphere.
 
-    When the support has an odd transversal (always at odd rank) the minimum
-    is the negated maximum, attained by the maximizer with signs flipped on
-    the transversal, and takes the maximum's status; otherwise even rank runs
-    sign-randomized restarts of the shifted map on -P in the dual point at
-    1 < p < 2, and of projected gradient descent at p >= 2.
+    At odd rank the minimum is the negated maximum, attained at minus the
+    maximizer, and with an odd transversal of the support it is the maximizer
+    with signs flipped on it; either takes the maximum's status.  Otherwise
+    even rank runs sign-randomized restarts of the shifted map on -P in the
+    dual point at 1 < p < 2, and of projected gradient descent at p >= 2.
     """
     return _solve(G, check_exponent(p), opts or SolveOptions(), "min", initial_vectors)
 
@@ -857,8 +865,8 @@ def lambda_min(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None
 def extremes(G: WeightedHypergraph, p: float, opts: SolveOptions | None = None,
              warm_max=(), warm_min=()) -> tuple[EigenResult, EigenResult]:
     """(lambda_max, lambda_min) with the maximum solved once: the minimum
-    reuses it wherever the support has an odd transversal.  `warm_max` and
-    `warm_min` are the warm vectors of each solve."""
+    reuses it wherever it is the flipped maximizer (odd rank, or an odd
+    transversal).  `warm_max` and `warm_min` are the warm vectors of each solve."""
     top = lambda_max(G, p, opts, initial_vectors=warm_max)
     return top, _solve(G, top.p, opts or SolveOptions(), "min", warm_min, top)
 

@@ -1,12 +1,21 @@
-"""Shared test utilities: seeded random graphs and small named fixtures."""
+"""Shared test utilities: seeded random graphs, small named fixtures, and
+the reference searches and bounds that only the tests use."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 import pspectral as ps
+from pspectral import combinatorics as comb
+from pspectral.bounds import BoundReport, _report
+from pspectral.combinatorics import _mask_to_set
+from pspectral.hypergraph import WeightedHypergraph, complete_multipartite, k_section
+from pspectral.solver import SolveOptions, lambda_max
+
+EXHAUSTIVE_BUDGET = 24    # subset enumeration bound for transversal search
 
 
 def random_graph(rng, r=None, n_lo=3, n_hi=7, density=None, weighted=False,
@@ -73,3 +82,50 @@ def path(n: int) -> ps.WeightedHypergraph:
 FAST = ps.SolveOptions(tol=1e-10, restarts=8, seed=11)
 TIGHT = ps.SolveOptions(tol=1e-11, restarts=16, seed=11)
 MIN_FUZZ = ps.SolveOptions(tol=1e-9, restarts=4, seed=7)
+
+
+def transversal_exhaustive(G: WeightedHypergraph, parity: int,
+                           proper: bool = False) -> frozenset[int] | None:
+    """Subset-enumeration oracle for the GF(2) transversal solver (n <= 24)."""
+    n = G.n_vertices
+    if n > EXHAUSTIVE_BUDGET:
+        raise ValueError(f"exhaustive transversal search exceeds budget (n={n})")
+    edge_masks = [sum(1 << v for v in e) for e in G.edges()]
+    full = (1 << n) - 1
+    start = 1 if (proper or parity == 1 and edge_masks) else 0
+    for mask in range(start, 1 << n):
+        if proper and mask in (0, full):
+            continue
+        if all((mask & em).bit_count() % 2 == parity for em in edge_masks):
+            return _mask_to_set(mask, n)
+    return None
+
+
+def two_section_chromatic_bound(G: WeightedHypergraph, opts=None) -> BoundReport:
+    """Weak chromatic number is at most max-of-2-section/(r-1) + 1."""
+    opts = opts or SolveOptions()
+    sec = k_section(G, 2) if G.rank > 2 else G
+    top = lambda_max(sec, 2.0, opts).value
+    bound = top / (G.rank - 1) + 1.0
+    chi = comb.chromatic_number_exact(G)
+    return _report("two-section-chromatic", "upper", bound, True,
+                   "chi(G) <= max(2-section)/(r-1) + 1", float(chi))
+
+
+def hofmeister_limitation(r: int, k: int, eps: float = 0.5):
+    """Fixture: complete r-partite graph with parts 1, k, ..., k for which the
+    degree power mean with exponent r/(r-1)+eps exceeds the maximum value.
+
+    Returns (G, max value at p = r via the r-partite equality case, power
+    mean side).  For k large the strict inequality demonstrates that degree
+    power means above exponent r/(r-1) cannot lower-bound the maximum.
+    """
+    if r < 2 or k < 1:
+        raise ValueError(f"fixture needs r >= 2 and k >= 1, got r={r}, k={k}")
+    G = complete_multipartite(r, [1] + [k] * (r - 1))
+    size = float(k ** (r - 1))
+    lam = (math.factorial(r) / r) * size ** (1.0 - 1.0 / r)
+    q = r / (r - 1.0) + eps
+    deg = G.degrees()
+    power_mean = math.factorial(r - 1) * float(np.mean(deg ** q)) ** (1.0 / q)
+    return G, lam, power_mean

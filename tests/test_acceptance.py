@@ -14,9 +14,8 @@ import pytest
 
 import pspectral as ps
 from pspectral.cli import main
-from pspectral.combinatorics import transversal_exhaustive
 from pspectral.fixtures import spurious_pair, two_edges_sharing
-from helpers import fano, path
+from helpers import fano, path, transversal_exhaustive
 
 SUITE = ps.SolveOptions(tol=1e-9, restarts=6, seed=2024)
 STRONG = ps.SolveOptions(tol=1e-10, restarts=16, seed=2024)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import pspectral as ps
-from pspectral.bounds import hofmeister_limitation, two_section_chromatic_bound
-from helpers import FAST, TIGHT, fano, random_graph
+from helpers import (FAST, TIGHT, fano, hofmeister_limitation, random_graph,
+                     two_section_chromatic_bound)
 
 TOL = 1e-9
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import pspectral as ps
-from pspectral.combinatorics import _transposition_preserves, transversal_exhaustive
-from helpers import fano, path, random_graph
+from pspectral.combinatorics import _transposition_preserves
+from helpers import fano, path, random_graph, transversal_exhaustive
 
 
 def test_degree_profile_complete():
