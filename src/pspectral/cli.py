@@ -1,10 +1,19 @@
 """Command-line front end: compute, bounds, check, curve, oracle, construct,
 random.
 
-Human output is line-oriented; --json emits a deterministic machine-readable
-report (sorted keys, no timing field), so identical invocations with the
-same seed are byte-identical.  Exit codes: 0 converged/true, 1 usage or
-parse error, 2 best-effort or a false predicate.
+Every command takes one path through `main`.  Its handler `cmd_<command>`
+loads the input, calls the library and returns (input digest, results, human
+lines, exit code).  `main` alone turns a ValueError, from the input, a flag
+or the library, into one `error: <message>` line on stderr and exit 1; it
+also times the handler and writes the report.
+
+Human output is line-oriented and ends with `elapsed`, the handler's time:
+reading the input plus the solve (for construct, building and writing the
+graph).  curve writes its CSV alone on stdout and `# elapsed` on stderr.
+--json emits a deterministic machine-readable report (sorted keys, no timing
+field), so identical invocations with the same seed are byte-identical.
+Exit codes: 0 converged/true, 1 usage or parse error, 2 best-effort or a
+false predicate.
 """
 
 from __future__ import annotations
@@ -28,9 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BEST_EFFORT = 2
 
-PROPERTIES = ("connected", "k-tight", "odd-transversal", "even-transversal",
-              "k-linear", "k-set-regular", "steiner", "equivalence-classes",
-              "chromatic")
 FAMILIES = ("complete", "multipartite", "turan", "cycle", "beta-star",
             "t-star", "single-edge")
 
@@ -42,15 +48,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt_vec(coords) -> list[str]:
-    return [f"{v:.12g}" for v in coords]
-
-
-def _add_common(sp, sphere=True, solve=True):
-    """--input, --json; --p, --seed with `sphere`; --tol, --restarts with `solve`."""
+def _add_common(sp, p=True, seed=True, solve=True):
+    """--input, --json; --p, --seed as asked; --tol, --restarts with `solve`."""
     sp.add_argument("--input", required=True, help="graph file (JSON or text format)")
-    if sphere:
+    if p:
         sp.add_argument("--p", type=float, default=None, help="sphere exponent, at least 1")
+    if seed:
         sp.add_argument("--seed", type=int, default=0)
     if solve:
         sp.add_argument("--tol", type=float, default=1e-10)
@@ -59,68 +62,62 @@ def _add_common(sp, sphere=True, solve=True):
 
 
 def _load(args):
+    """The graph in --input and the sha256 of its bytes."""
     try:
         with open(args.input, "rb") as fh:
             raw = fh.read()
-        return hg.parse(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {args.input}: {exc}"))
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
-
-
-def _fail(message) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+        raise ValueError(f"cannot read {args.input}: {exc}") from None
+    return hg.parse(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
 
 
 def _opts(args, default_restarts=32) -> SolveOptions:
     restarts = args.restarts if args.restarts is not None else default_restarts
-    try:
-        return SolveOptions(tol=args.tol, restarts=restarts, seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit(_fail(str(exc)))
+    return SolveOptions(tol=args.tol, restarts=restarts, seed=args.seed)
 
 
-def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-        print(f"elapsed = {elapsed:.3f}s")
+def _answer(value, witness=None, **extra) -> dict:
+    """A check's results: its truth value, the sorted witness or None, and extras."""
+    return {"value": value, "witness": None if witness is None else sorted(witness), **extra}
 
 
-def _report_base(args, command, digest) -> dict:
-    # the inert --parallel flag is excluded so runs with and without it
-    # produce identical reports
-    echo = {k: v for k, v in sorted(vars(args).items())
-            if k not in ("json", "parallel") and v is not None}
-    return {"command": command, "args": echo, "input_digest": digest}
+def _found(t) -> dict:
+    return _answer(t is not None, t)
+
+
+# property -> (needs --k, (G, k) -> results)
+_CHECKS = {
+    "connected": (False, lambda G, k: _answer(comb.is_connected(G))),
+    "k-tight": (True, lambda G, k: _answer(*comb.is_k_tight(G, k))),
+    "odd-transversal": (False, lambda G, k: _found(comb.odd_transversal(G))),
+    "even-transversal": (False, lambda G, k: _found(comb.even_transversal(G))),
+    "k-linear": (True, lambda G, k: _answer(comb.is_k_linear(G, k))),
+    "k-set-regular": (True, lambda G, k: _answer(comb.is_k_set_regular(G, k))),
+    "steiner": (True, lambda G, k: _answer(comb.is_steiner(G, k))),
+    "equivalence-classes": (False, lambda G, k: _answer(
+        True, classes=[list(c) for c in comb.equivalence_classes(G)])),
+    "chromatic": (False, lambda G, k: _answer(
+        True, chromatic_number=comb.chromatic_number_exact(G))),
+}
+PROPERTIES = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (input digest, results, human lines, exit code)
 # ---------------------------------------------------------------------------
 
-def cmd_compute(args) -> int:
+def cmd_compute(args):
     G, digest = _load(args)
     p = args.p if args.p is not None else 2.0
     opts = _opts(args)
-    t0 = time.perf_counter()
-    try:
-        res = lambda_min(G, p, opts) if args.target == "min" else lambda_max(G, p, opts)
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
+    res = lambda_min(G, p, opts) if args.target == "min" else lambda_max(G, p, opts)
     label = "lambda_min" if args.target == "min" else "lambda"
     lines = [f"{label} = {res.value:.7f}",
              f"residual = {res.residual:.3e}",
              f"status = {res.status}",
              f"iterations = {res.iterations}",
              f"restarts = {res.restarts_used}"]
-    report = _report_base(args, "compute", digest)
-    report["results"] = {
+    results = {
         "value": res.value,
         "residual": None if np.isnan(res.residual) else res.residual,
         "gap": res.gap if np.isfinite(res.gap) else None,
@@ -129,26 +126,19 @@ def cmd_compute(args) -> int:
         "restarts": res.restarts_used,
     }
     if args.vector:
-        vec = _fmt_vec(res.vector.coords)
-        lines.append("vector = " + " ".join(vec))
-        report["results"]["vector"] = vec
-    _emit(args, report, lines, elapsed)
-    return EXIT_OK if res.status == "converged" else EXIT_BEST_EFFORT
+        results["vector"] = [f"{v:.12g}" for v in res.vector.coords]
+        lines.append("vector = " + " ".join(results["vector"]))
+    return digest, results, lines, EXIT_OK if res.status == "converged" else EXIT_BEST_EFFORT
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args):
     G, digest = _load(args)
     p = args.p if args.p is not None else 2.0
     opts = _opts(args)
-    t0 = time.perf_counter()
-    try:
-        top, bot = extremes(G, p, opts)
-        reports = (bound_suite_max(G, p, top.value)
-                   + structural_bounds(G, p, top.value)
-                   + bound_suite_min(G, p, bot.value, top.value))
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
+    top, bot = extremes(G, p, opts)
+    reports = (bound_suite_max(G, p, top.value)
+               + structural_bounds(G, p, top.value)
+               + bound_suite_min(G, p, bot.value, top.value))
     lines = [f"lambda = {top.value:.7f}   lambda_min = {bot.value:.7f}",
              f"{'name':<24}{'side':<7}{'applies':<9}{'bound':>16}{'slack':>16}"]
     rows = []
@@ -157,175 +147,95 @@ def cmd_bounds(args) -> int:
         lines.append(f"{b.name:<24}{b.side:<7}{str(b.applies):<9}{b.bound:>16.6f}{slack}")
         rows.append({"name": b.name, "side": b.side, "applies": b.applies,
                      "bound": b.bound, "slack": b.slack, "citation": b.citation})
-    report = _report_base(args, "bounds", digest)
-    report["results"] = {"lambda": top.value, "lambda_min": bot.value, "bounds": rows}
-    _emit(args, report, lines, elapsed)
     ok = all(b.slack is None or not b.applies or b.slack >= -2 * opts.tol
              for b in reports)
-    return EXIT_OK if ok else EXIT_BEST_EFFORT
+    return (digest, {"lambda": top.value, "lambda_min": bot.value, "bounds": rows}, lines,
+            EXIT_OK if ok else EXIT_BEST_EFFORT)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     G, digest = _load(args)
-    prop = args.property
-    k = args.k
-    t0 = time.perf_counter()
-    try:
-        witness = None
-        extra = {}
-        if prop == "connected":
-            value = comb.is_connected(G)
-        elif prop == "k-tight":
-            if k is None:
-                return _fail("--k is required for k-tight")
-            value, bad = comb.is_k_tight(G, k)
-            witness = sorted(bad) if bad is not None else None
-        elif prop == "odd-transversal":
-            t = comb.odd_transversal(G)
-            value = t is not None
-            witness = sorted(t) if t is not None else None
-        elif prop == "even-transversal":
-            t = comb.even_transversal(G)
-            value = t is not None
-            witness = sorted(t) if t is not None else None
-        elif prop == "k-linear":
-            if k is None:
-                return _fail("--k is required for k-linear")
-            value = comb.is_k_linear(G, k)
-        elif prop == "k-set-regular":
-            if k is None:
-                return _fail("--k is required for k-set-regular")
-            value = comb.is_k_set_regular(G, k)
-        elif prop == "steiner":
-            if k is None:
-                return _fail("--k is required for steiner")
-            value = comb.is_steiner(G, k)
-        elif prop == "equivalence-classes":
-            classes = [list(c) for c in comb.equivalence_classes(G)]
-            value = True
-            extra["classes"] = classes
-        elif prop == "chromatic":
-            chi = comb.chromatic_number_exact(G)
-            value = True
-            extra["chromatic_number"] = chi
-        else:
-            return _fail(f"unknown property {prop!r}")
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
-    if "classes" in extra:
+    needs_k, check = _CHECKS[args.property]
+    if needs_k and args.k is None:
+        raise ValueError(f"--k is required for {args.property}")
+    results = check(G, args.k)
+    if "classes" in results:
         lines = ["classes = " + " ".join("{" + ",".join(map(str, c)) + "}"
-                                         for c in extra["classes"])]
-    elif "chromatic_number" in extra:
-        lines = [f"chromatic_number = {extra['chromatic_number']}"]
+                                         for c in results["classes"])]
+    elif "chromatic_number" in results:
+        lines = [f"chromatic_number = {results['chromatic_number']}"]
     else:
-        lines = [str(value).lower()]
-        if witness is not None:
-            lines.append(f"witness = {witness}")
-    report = _report_base(args, "check", digest)
-    report["results"] = {"value": value, "witness": witness, **extra}
-    _emit(args, report, lines, elapsed)
-    return EXIT_OK if value else EXIT_BEST_EFFORT
+        lines = [str(results["value"]).lower()]
+        if results["witness"] is not None:
+            lines.append(f"witness = {results['witness']}")
+    return digest, results, lines, EXIT_OK if results["value"] else EXIT_BEST_EFFORT
 
 
-def cmd_curve(args) -> int:
+def cmd_curve(args):
     G, digest = _load(args)
     if args.steps < 1:
-        return _fail("--steps must be at least 1")
+        raise ValueError("--steps must be at least 1")
     if args.p_to < args.p_from:
-        return _fail("--p-to must be at least --p-from")
+        raise ValueError("--p-to must be at least --p-from")
     opts = _opts(args)
     grid = list(np.linspace(args.p_from, args.p_to, args.steps)) \
         if args.steps > 1 else [args.p_from]
-    t0 = time.perf_counter()
-    try:
-        rows = lambda_curve(G, grid, opts)
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
+    rows = lambda_curve(G, grid, opts)
     csv = ["p,lambda,lambda_min,h,f"]
     csv += [f"{r.p:.12g},{r.lam_max:.12g},{r.lam_min:.12g},{r.h:.12g},{r.f:.12g}"
             for r in rows]
-    report = _report_base(args, "curve", digest)
-    report["results"] = {"rows": [{"p": r.p, "lambda": r.lam_max,
-                                   "lambda_min": r.lam_min, "h": r.h, "f": r.f}
-                                  for r in rows]}
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in csv:
-            print(line)
-        print(f"# elapsed = {elapsed:.3f}s", file=sys.stderr)
-    return EXIT_OK
+    results = {"rows": [{"p": r.p, "lambda": r.lam_max, "lambda_min": r.lam_min,
+                         "h": r.h, "f": r.f} for r in rows]}
+    return digest, results, csv, EXIT_OK
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     G, digest = _load(args)
     if args.samples < 1:
-        return _fail("--samples must be at least 1")
+        raise ValueError("--samples must be at least 1")
     p = args.p if args.p is not None else 2.0
-    t0 = time.perf_counter()
-    try:
-        value = brute_force_lambda(G, p, args.target, args.samples, args.seed)
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
-    report = _report_base(args, "oracle", digest)
-    report["results"] = {"value": value}
-    _emit(args, report, [f"oracle = {value:.7f}"], elapsed)
-    return EXIT_OK
+    value = brute_force_lambda(G, p, args.target, args.samples, args.seed)
+    return digest, {"value": value}, [f"oracle = {value:.7f}"], EXIT_OK
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args):
     try:
         parts = tuple(int(s) for s in args.parts.split(",")) if args.parts else None
     except ValueError:
-        return _fail(f"--parts must be comma-separated integers, got {args.parts!r}")
+        msg = f"--parts must be comma-separated integers, got {args.parts!r}"
+        raise ValueError(msg) from None
     spec = hg.FamilySpec(family="complete-multipartite"
                          if args.family == "multipartite" else args.family,
                          r=args.r, n=args.n, k=args.k, t=args.t, parts=parts)
+    G = hg.construct(spec)
     try:
-        G = hg.construct(spec)
         hg.write_file(G, args.out, args.format)
-    except (ValueError, TypeError) as exc:
-        return _fail(str(exc))
     except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}")
-    report = _report_base(args, "construct", "none")
-    report["results"] = {"rank": G.rank, "vertices": G.n_vertices,
-                         "edges": G.num_edges, "path": args.out}
-    _emit(args, report,
-          [f"wrote {args.out}: rank {G.rank}, {G.n_vertices} vertices, "
-           f"{G.num_edges} edges"], 0.0)
-    return EXIT_OK
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
+    results = {"rank": G.rank, "vertices": G.n_vertices, "edges": G.num_edges,
+               "path": args.out}
+    line = f"wrote {args.out}: rank {G.rank}, {G.n_vertices} vertices, {G.num_edges} edges"
+    return "none", results, [line], EXIT_OK
 
 
-def cmd_random(args) -> int:
+def cmd_random(args):
     if args.trials < 1:
-        return _fail("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     if not args.prob > 0:
-        return _fail("--prob must be positive")
+        raise ValueError("--prob must be positive")
     q = args.q
     opts = _opts(args, default_restarts=4)
-    t0 = time.perf_counter()
     ratios = []
-    try:
-        for trial in range(args.trials):
-            G = hg.random_gnp(args.r, args.n, args.prob, args.seed + trial)
-            value = lambda_max(G, q, opts).value
-            scalef = args.prob * args.n ** (args.r - args.r / q)
-            ratios.append({"trial": trial, "seed": args.seed + trial,
-                           "edges": G.num_edges, "lambda": value,
-                           "ratio": value / scalef})
-    except ValueError as exc:
-        return _fail(str(exc))
-    elapsed = time.perf_counter() - t0
+    for trial in range(args.trials):
+        G = hg.random_gnp(args.r, args.n, args.prob, args.seed + trial)
+        value = lambda_max(G, q, opts).value
+        scalef = args.prob * args.n ** (args.r - args.r / q)
+        ratios.append({"trial": trial, "seed": args.seed + trial,
+                       "edges": G.num_edges, "lambda": value,
+                       "ratio": value / scalef})
     lines = [f"trial {r['trial']}: edges = {r['edges']}  lambda = {r['lambda']:.6f}  "
              f"ratio = {r['ratio']:.6f}" for r in ratios]
-    report = _report_base(args, "random", "none")
-    report["results"] = {"trials": ratios}
-    _emit(args, report, lines, elapsed)
-    return EXIT_OK
+    return "none", {"trials": ratios}, lines, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
 
     sp = sub.add_parser("check", help="run one combinatorial predicate")
-    _add_common(sp, sphere=False, solve=False)
+    _add_common(sp, p=False, seed=False, solve=False)
     sp.add_argument("--property", choices=PROPERTIES, required=True)
     sp.add_argument("--k", type=int, default=None)
 
     sp = sub.add_parser("curve", help="values along an exponent grid, CSV output")
-    _add_common(sp)
+    _add_common(sp, p=False)
     sp.add_argument("--p-from", type=float, required=True)
     sp.add_argument("--p-to", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
@@ -395,17 +305,35 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  The parser is built on the first call and reused;
-    the handler `cmd_<command>` is looked up in this module at each call, so
-    a replaced handler runs."""
+    """Run one command and write its report.  The parser is built on the
+    first call and reused; the handler `cmd_<command>` is looked up in this
+    module at each call, so a replaced handler runs."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.perf_counter()
     try:
-        return globals()[f"cmd_{args.cmd}"](args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        digest, results, lines, code = globals()[f"cmd_{args.cmd}"](args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    elapsed = time.perf_counter() - t0
+    if args.json:
+        # the inert --parallel flag is excluded so runs with and without it
+        # produce identical reports
+        echo = {k: v for k, v in vars(args).items()
+                if k not in ("json", "parallel") and v is not None}
+        print(json.dumps({"command": args.cmd, "args": echo, "input_digest": digest,
+                          "results": results}, sort_keys=True))
+        return code
+    for line in lines:
+        print(line)
+    if args.cmd == "curve":     # the CSV stands alone on stdout
+        print(f"# elapsed = {elapsed:.3f}s", file=sys.stderr)
+    else:
+        print(f"elapsed = {elapsed:.3f}s")
+    return code
 
 
 if __name__ == "__main__":

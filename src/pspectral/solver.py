@@ -26,8 +26,9 @@ Algorithm map
   target min, flipped (`_flip_set`): P(-x) = -P(x) at odd rank, and at even
     rank flipping signs on an odd transversal T negates every edge product,
     so the minimum is -x, or x flipped on T, for the maximizer x at every p,
-    and no minimum restart runs.  x is the caller's (`extremes`), else that
-    of a recorded or a new `lambda_max` with the same arguments.
+    its value is minus the maximum's, and no minimum restart runs.  x is the
+    caller's (`extremes`), else that of a recorded or a new `lambda_max` with
+    the same arguments.
   target min, even rank, otherwise: `_sphere_loop` on the full sphere, from
     sign-randomized restarts plus the best -1/0/+1 sign pattern for n <= 6,
     stepping in the coordinate Newton solves in.  At 1 < p < 2 that is the
@@ -717,7 +718,8 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
     """The candidates of the restarts that ran for `target`.
 
     With a flip (`_flip_set`) the minimum is one candidate: the maximizer
-    with signs flipped on it, with the maximum's status.  `top` is the
+    with signs flipped on it, with the negated maximum as its value (each
+    edge term changes sign exactly) and the maximum's status.  `top` is the
     caller's solved maximum, if any; otherwise the maximum that `lambda_max`
     recorded on G for these arguments, or else one solved here from the warm
     vectors.  The maximum at p >= r stops at its first candidate that
@@ -732,7 +734,7 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
         x[list(flip)] = -x[list(flip)]
         if G.rank % 2:
             x += 0.0            # -x + 0.0: a zero stays +0.0
-        return [_Cand(x, evaluate(G, x), top.residual, top.iterations,
+        return [_Cand(x, -top.value, top.residual, top.iterations,
                       top.status == "converged")]
     sense = 1.0 if target == "max" else -1.0
     # the minimum's first-order step moves the coordinate Newton solves in

@@ -236,8 +236,19 @@ def test_check_properties(capsys, tmp_path, c4, k33):
     assert code == 0 and "classes" in out
     code, out, _ = run(capsys, ["check", "--input", c4, "--property", "chromatic"])
     assert code == 0 and "chromatic_number = 2" in out
-    code, _, _ = run(capsys, ["check", "--input", c4, "--property", "k-linear"])
-    assert code == 1  # --k required
+    # every property of the table, with its results keys; four need --k
+    needs_k = ("k-tight", "k-linear", "k-set-regular", "steiner")
+    extra = {"equivalence-classes": {"classes"}, "chromatic": {"chromatic_number"}}
+    for prop in ("connected", "k-tight", "odd-transversal", "even-transversal", "k-linear",
+                 "k-set-regular", "steiner", "equivalence-classes", "chromatic"):
+        k = ["--k", "2"] if prop in needs_k else []
+        code, out, _ = run(capsys, ["check", "--input", k33, "--property", prop, "--json", *k])
+        results = json.loads(out)["results"]
+        assert code == 0 and results["value"] is True, prop
+        assert set(results) == {"value", "witness"} | extra.get(prop, set()), prop
+        if prop in needs_k:
+            code, out, err = run(capsys, ["check", "--input", k33, "--property", prop])
+            assert code == 1 and out == "" and f"--k is required for {prop}" in err, prop
 
 
 def test_check_takes_no_solver_flags(capsys, c4):
@@ -256,6 +267,33 @@ def test_check_takes_no_solver_flags(capsys, c4):
     for flag, value in (("--tol", "1e-9"), ("--restarts", "4")):
         code, _, _ = run(capsys, ["oracle", "--input", c4, "--samples", "200", flag, value])
         assert code == 1
+    # the curve solves along its own grid and never reads --p
+    curve = ["curve", "--input", c4, "--p-from", "2", "--p-to", "3", "--steps", "2", "--json"]
+    code, out, _ = run(capsys, curve)
+    assert code == 0 and "p" not in json.loads(out)["args"]
+    code, out, _ = run(capsys, curve + ["--p", "7"])
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--p", "0.5"],
+    ["bounds", "--p", "0.5"],
+    ["oracle", "--p", "0.5", "--samples", "50"],
+    ["curve", "--p-from", "0.5", "--p-to", "2", "--steps", "2"],
+    ["check", "--property", "k-tight", "--k", "0"],
+    ["construct", "--family", "cycle", "--r", "3", "--n", "3"],
+    ["random", "--r", "3", "--n", "6", "--prob", "0.5", "--q", "0.5"],
+], ids=lambda argv: argv[0])
+def test_a_refused_input_is_one_error_line(capsys, tmp_path, c4, argv):
+    # a ValueError from the library exits 1 with one line and no report
+    if argv[0] == "construct":
+        argv = argv + ["--out", str(tmp_path / "out.json")]
+    elif argv[0] != "random":
+        argv = [argv[0], "--input", c4, *argv[1:]]
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, argv + json_flag)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_curve_csv(capsys, k33):
