@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
-from .hypergraph import WeightedHypergraph, complement
+from .hypergraph import WeightedHypergraph, add, complement
 from .polyform import check_exponent
 
 
@@ -89,8 +89,8 @@ def bound_suite_max(G: WeightedHypergraph, p: float,
 # structure-gated bounds for the maximum
 # ---------------------------------------------------------------------------
 
-def structural_bounds(G: WeightedHypergraph, p: float, lam: float | None = None,
-                      k_partition: list[list[int]] | None = None) -> list[BoundReport]:
+def structural_bounds(G: WeightedHypergraph, p: float,
+                      lam: float | None = None) -> list[BoundReport]:
     """Bounds whose preconditions (partiteness, chromatic number, linearity,
     set degrees) are verified before emission; oversized searches flag the
     bound inapplicable rather than guessing."""
@@ -101,15 +101,10 @@ def structural_bounds(G: WeightedHypergraph, p: float, lam: float | None = None,
     out = []
     unweighted = G.is_unweighted()
 
-    kappa = None
-    if k_partition is not None:
-        kappa = len(k_partition) if comb.is_k_partite(G, len(k_partition), k_partition) \
-            else None
-    else:
-        try:
-            kappa = comb.partiteness_number(G)
-        except ValueError:
-            kappa = None
+    try:
+        kappa = comb.partiteness_number(G)
+    except ValueError:
+        kappa = None
     if kappa is not None and unweighted and G.num_edges:
         if kappa == r:
             out.append(_report("partite-upper", "upper",
@@ -224,38 +219,26 @@ def _solve_pair(G, p, opts):
 
 
 def weyl_check(G1: WeightedHypergraph, G2: WeightedHypergraph, p: float,
-               values: dict | None = None, opts=None) -> list[BoundReport]:
-    """Subadditivity of the maximum under weighted sums, and the two-sided
-    sandwich for the minimum, with 4x solver-tolerance slack allowance.
-
-    values may supply precomputed entries max1, max2, min1, min2, max_sum,
-    min_sum; anything missing is solved here.
-    """
-    from .hypergraph import add
-
+               opts=None) -> list[BoundReport]:
+    """Subadditivity of the maximum under weighted sums, and the minimum's sandwich."""
     p = check_exponent(p)
     if G1.rank != G2.rank or G1.n_vertices != G2.n_vertices:
         raise ValueError("the check needs equal rank and vertex set")
-    v = dict(values or {})
-    H = add(G1, G2)
-    if "max1" not in v or "min1" not in v:
-        v["max1"], v["min1"] = _solve_pair(G1, p, opts)
-    if "max2" not in v or "min2" not in v:
-        v["max2"], v["min2"] = _solve_pair(G2, p, opts)
-    if "max_sum" not in v or "min_sum" not in v:
-        v["max_sum"], v["min_sum"] = _solve_pair(H, p, opts)
+    max1, min1 = _solve_pair(G1, p, opts)
+    max2, min2 = _solve_pair(G2, p, opts)
+    max_sum, min_sum = _solve_pair(add(G1, G2), p, opts)
     return [
-        _report("sum-upper", "upper", v["max1"] + v["max2"], True,
-                "max of a weighted sum is at most the sum of maxima", v["max_sum"]),
-        _report("min-sum-lower", "lower", v["min1"] + v["min2"], True,
-                "min of a weighted sum is at least the sum of minima", v["min_sum"]),
-        _report("min-sum-upper", "upper", v["max1"] + v["min2"], True,
-                "min of a weighted sum is at most max(G1) + min(G2)", v["min_sum"]),
+        _report("sum-upper", "upper", max1 + max2, True,
+                "max of a weighted sum is at most the sum of maxima", max_sum),
+        _report("min-sum-lower", "lower", min1 + min2, True,
+                "min of a weighted sum is at least the sum of minima", min_sum),
+        _report("min-sum-upper", "upper", max1 + min2, True,
+                "min of a weighted sum is at most max(G1) + min(G2)", min_sum),
     ]
 
 
 def perturbation_check(G1: WeightedHypergraph, G2: WeightedHypergraph, p: float,
-                       values: dict | None = None, opts=None) -> list[BoundReport]:
+                       opts=None) -> list[BoundReport]:
     """Edit-distance stability: changing k edges moves both extremal values
     by at most (r!k)^(1-1/p)."""
     p = check_exponent(p)
@@ -265,36 +248,27 @@ def perturbation_check(G1: WeightedHypergraph, G2: WeightedHypergraph, p: float,
         raise ValueError("the edit-distance bound is for unweighted graphs")
     k = len(set(G1.edges()) ^ set(G2.edges()))
     bound = (math.factorial(G1.rank) * k) ** (1.0 - 1.0 / p)
-    v = dict(values or {})
-    if not {"max1", "min1", "max2", "min2"} <= v.keys():
-        v["max1"], v["min1"] = _solve_pair(G1, p, opts)
-        v["max2"], v["min2"] = _solve_pair(G2, p, opts)
+    max1, min1 = _solve_pair(G1, p, opts)
+    max2, min2 = _solve_pair(G2, p, opts)
     return [
         _report("perturb-max", "upper", bound, True,
                 f"|max difference| <= (r!k)^(1-1/p), k={k} edited edges",
-                abs(v["max1"] - v["max2"])),
+                abs(max1 - max2)),
         _report("perturb-min", "upper", bound, True,
                 f"|min difference| <= (r!k)^(1-1/p), k={k} edited edges",
-                abs(v["min1"] - v["min2"])),
+                abs(min1 - min2)),
     ]
 
 
-def nordhaus_check(G: WeightedHypergraph, p: float,
-                   values: dict | None = None, opts=None) -> list[BoundReport]:
+def nordhaus_check(G: WeightedHypergraph, p: float, opts=None) -> list[BoundReport]:
     """Bracket for max(G) + max(complement): at least (n)_r/n^(r/p), at most
     2^(1/p) (n)_r^(1-1/p)."""
-    from .solver import SolveOptions, lambda_max
+    from .solver import lambda_max
 
     p = check_exponent(p)
     if not G.is_unweighted():
         raise ValueError("the complement bracket is for unweighted graphs")
-    opts = opts or SolveOptions()
-    v = dict(values or {})
-    if "max" not in v:
-        v["max"] = lambda_max(G, p, opts).value
-    if "max_complement" not in v:
-        v["max_complement"] = lambda_max(complement(G), p, opts).value
-    total = v["max"] + v["max_complement"]
+    total = lambda_max(G, p, opts).value + lambda_max(complement(G), p, opts).value
     n, r = G.n_vertices, G.rank
     return [
         _report("complement-sum-lower", "lower", math.perm(n, r) / n ** (r / p) if n else 0.0,

@@ -42,6 +42,9 @@ FAMILIES = ("complete", "multipartite", "turan", "cycle", "beta-star",
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):       # the subparsers are built by this class too
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

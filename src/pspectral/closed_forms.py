@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hypergraph import JOIN_KINDS, FamilySpec
+from .hypergraph import FamilySpec, _join_order
 from .polyform import check_exponent
 
 
@@ -130,13 +130,7 @@ def join_scale(lam: float, r: int, p: float, kind: str, t: int = 1) -> float:
     r is the rank of the JOINED graph.  The joined minimum is the negated
     scaled maximum for all three kinds.
     """
-    p = check_exponent(p)
-    if kind not in JOIN_KINDS:
-        raise ValueError(f"unknown join kind {kind!r}; expected one of {JOIN_KINDS}")
-    if kind == "k1":
-        t = 1
-    if t < 1:
-        raise ValueError(f"join needs t >= 1, got t={t}")
+    p, t = check_exponent(p), _join_order(kind, t)
     if kind in ("k1", "t-k1"):
         factor = r ** (1.0 - r / p) * (r - 1) ** ((r - 1) / p)
         if kind == "t-k1":

@@ -35,10 +35,6 @@ class DegreeProfile:
     delta_beta: int | None = None
     Delta_beta: int | None = None
 
-    def set_degree(self, U) -> float:
-        table = dict(self.set_degrees or ())
-        return table[tuple(sorted(U))]
-
 
 def _incident_edges(G: WeightedHypergraph) -> list[list[tuple[int, ...]]]:
     inc = [[] for _ in range(G.n_vertices)]
@@ -256,17 +252,17 @@ def is_steiner(G: WeightedHypergraph, k: int) -> bool:
     return all(c == 1 for c in counts.values())
 
 
-def is_k_set_regular(G: WeightedHypergraph, k: int, tol: float = 1e-12) -> bool:
+def is_k_set_regular(G: WeightedHypergraph, k: int) -> bool:
     """All weighted k-set degrees equal; the common value is then |G|(r)_k/(n)_k."""
     prof = degree_profile(G, k=k, with_beta=False)
-    values = [d for _, d in prof.set_degrees]
-    if not values:
+    degs = [d for _, d in prof.set_degrees]
+    if not degs:
         return True
-    lo, hi = min(values), max(values)
-    if hi - lo > tol * max(1.0, abs(hi)):
+    lo, hi = min(degs), max(degs)
+    if hi - lo > 1e-12 * max(1.0, abs(hi)):
         return False
     expected = G.size() * math.perm(G.rank, k) / math.perm(G.n_vertices, k)
-    if abs(values[0] - expected) > 1e-9 * max(1.0, expected):
+    if abs(degs[0] - expected) > 1e-9 * max(1.0, expected):
         raise RuntimeError("set-regular degree does not match |G|(r)_k/(n)_k")
     return True
 

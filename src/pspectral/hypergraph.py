@@ -176,10 +176,10 @@ class WeightedHypergraph:
                 f"edges={self.num_edges}, size={self.size():g})")
 
 
-def from_edge_list(rank: int, n_vertices: int, edges: Iterable[Sequence[int]],
-                   weight: float = 1.0) -> WeightedHypergraph:
-    """Unweighted-style constructor: every listed edge gets the same weight."""
-    return WeightedHypergraph(rank, n_vertices, ((e, weight) for e in edges))
+def from_edge_list(rank: int, n_vertices: int,
+                   edges: Iterable[Sequence[int]]) -> WeightedHypergraph:
+    """Unweighted constructor: every listed edge gets weight 1."""
+    return WeightedHypergraph(rank, n_vertices, ((e, 1.0) for e in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +354,17 @@ def scale(G: WeightedHypergraph, c: float) -> WeightedHypergraph:
                               {e: c * w for e, w in G.edge_weights.items()})
 
 
+def _join_order(kind: str, t: int) -> int:
+    """The number t of new vertices a join of this kind adds: 1 for "k1"."""
+    if kind not in JOIN_KINDS:
+        raise ValueError(f"unknown join kind {kind!r}; expected one of {JOIN_KINDS}")
+    if kind == "k1":
+        t = 1
+    if t < 1:
+        raise ValueError(f"join needs t >= 1, got t={t}")
+    return t
+
+
 def join_family(G: WeightedHypergraph, kind: str, t: int = 1) -> WeightedHypergraph:
     """Star-like joins.  New vertices are appended after G's.
 
@@ -361,13 +372,7 @@ def join_family(G: WeightedHypergraph, kind: str, t: int = 1) -> WeightedHypergr
     kind "t-k1":  rank r+1; t new vertices, each old edge extended by each one.
     kind "k-t-t": rank r+t; a fixed core of t new vertices added to every edge.
     """
-    if kind not in JOIN_KINDS:
-        raise ValueError(f"unknown join kind {kind!r}; expected one of {JOIN_KINDS}")
-    n = G.n_vertices
-    if kind == "k1":
-        t = 1
-    if t < 1:
-        raise ValueError(f"join needs t >= 1, got t={t}")
+    t, n = _join_order(kind, t), G.n_vertices
     edges = {}
     if kind in ("k1", "t-k1"):
         for v in range(n, n + t):

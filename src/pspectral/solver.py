@@ -989,16 +989,15 @@ def lambda_curve(G: WeightedHypergraph, p_grid, opts: SolveOptions | None = None
 
 
 def algebraic_modulus_check(G: WeightedHypergraph, lam: float, x: np.ndarray,
-                            opts: SolveOptions | None = None,
-                            residual_tol: float = 1e-6) -> bool:
+                            opts: SolveOptions | None = None) -> bool:
     """True when |lam| is at most the solved maximum at p = r, plus 1e-6.
 
     The pair (lam, x) must satisfy the p = r stationarity system to within
-    residual_tol; any such modulus is dominated by the maximum value.
+    1e-6; any such modulus is dominated by the maximum value.
     """
     res = eigen_residual(G, float(G.rank), lam, x)
-    if res > residual_tol:
+    if res > 1e-6:
         raise ValueError(f"(lam, x) is not an approximate stationary pair "
-                         f"(residual {res:.3e} > {residual_tol:g})")
+                         f"(residual {res:.3e} > 1e-06)")
     top = lambda_max(G, float(G.rank), opts)
     return abs(lam) <= top.value + 1e-6

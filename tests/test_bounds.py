@@ -104,6 +104,15 @@ def test_min_suite_c4_equality():
     assert no_violations(rep.values())
 
 
+def test_structural_beyond_the_coloring_budget():
+    # 17 vertices exceed the exact colouring search: no partite or chromatic claim
+    C = ps.cycle(2, 17)
+    rep = {b.name: b for b in ps.structural_bounds(C, 2.0, 2.0)}
+    assert not rep["partite-upper"].applies and rep["partite-upper"].slack is None
+    assert not any(name.startswith("chromatic-") for name in rep)
+    assert rep["degree-upper"].applies
+
+
 def test_min_suite_odd_rank_flags():
     rep = ps.bound_suite_min(ps.single_edge(3), 2.0, -1.0, 1.0)
     named = {b.name: b for b in rep}
@@ -139,6 +148,10 @@ def test_perturbation_path_vs_cycle():
     golden = (1 + math.sqrt(5)) / 2
     assert named["perturb-max"].slack == pytest.approx(math.sqrt(2) - (2 - golden), abs=1e-6)
     assert no_violations(reports)
+    with pytest.raises(ValueError, match="equal rank and order"):
+        ps.perturbation_check(C4, ps.cycle(2, 5), 2.0, opts=FAST)
+    with pytest.raises(ValueError, match="for unweighted graphs"):
+        ps.perturbation_check(C4, ps.WeightedHypergraph(2, 4, {(0, 1): 0.5}), 2.0, opts=FAST)
 
 
 def test_pair_checks_solve_each_maximum_once(monkeypatch):
@@ -176,6 +189,8 @@ def test_nordhaus_brackets():
     named = {b.name: b for b in reports}
     assert abs(named["complement-sum-lower"].slack) <= 1e-8
     assert named["complement-sum-upper"].bound == pytest.approx(2 ** 0.5 * 20 ** 0.5)
+    with pytest.raises(ValueError, match="complement bracket is for unweighted"):
+        ps.nordhaus_check(ps.WeightedHypergraph(2, 4, {(0, 1): 0.5}), 2.0, opts=FAST)
 
 
 def test_entry_bounds_uniform_case():

@@ -273,6 +273,14 @@ def test_check_takes_no_solver_flags(capsys, c4):
     assert code == 0 and "p" not in json.loads(out)["args"]
     code, out, _ = run(capsys, curve + ["--p", "7"])
     assert code == 1 and out == ""
+    # flags match only in full: no prefix stands for a longer flag
+    for argv in (["compute", "--input", c4, "--vec"],
+                 ["compute", "--input", c4, "--res", "3"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 1 and out == "", argv
+    code, _, err = run(capsys, ["check", "--input", c4, "--property", "connected",
+                                "--p", "2"])
+    assert code == 1 and "unrecognized arguments: --p 2" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -283,12 +291,19 @@ def test_check_takes_no_solver_flags(capsys, c4):
     ["check", "--property", "k-tight", "--k", "0"],
     ["construct", "--family", "cycle", "--r", "3", "--n", "3"],
     ["random", "--r", "3", "--n", "6", "--prob", "0.5", "--q", "0.5"],
+    pytest.param(["curve", "--p-from", "2", "--p-to", "3", "--steps", "0"], id="curve-steps"),
+    pytest.param(["curve", "--p-from", "3", "--p-to", "2", "--steps", "2"], id="curve-p-to"),
+    pytest.param(["compute", "--input", "{tmp}/missing.json"], id="unreadable-input"),
+    pytest.param(["construct", "--family", "cycle", "--r", "2", "--n", "4", "--out", "{tmp}"],
+                 id="unwritable-out"),
 ], ids=lambda argv: argv[0])
 def test_a_refused_input_is_one_error_line(capsys, tmp_path, c4, argv):
-    # a ValueError from the library exits 1 with one line and no report
-    if argv[0] == "construct":
+    # a ValueError from the input, a flag or the library exits 1 with one
+    # line and no report; "{tmp}" stands for a fresh directory
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if argv[0] == "construct" and "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "out.json")]
-    elif argv[0] != "random":
+    elif argv[0] not in ("construct", "random") and "--input" not in argv:
         argv = [argv[0], "--input", c4, *argv[1:]]
     for json_flag in ([], ["--json"]):
         code, out, err = run(capsys, argv + json_flag)

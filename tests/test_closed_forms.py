@@ -53,6 +53,18 @@ def test_join_rule_consistency():
         assert k1 == pytest.approx(core, rel=1e-12)
 
 
+def test_join_refusals_match_the_graph_join():
+    # the value rule and the graph construction share one kind-and-t check
+    for kind, t, what in (("cone", 1, "unknown join kind"), ("t-k1", 0, "t >= 1")):
+        with pytest.raises(ValueError, match=what) as graph:
+            ps.join_family(ps.single_edge(2), kind, t=t)
+        with pytest.raises(ValueError, match=what) as value:
+            ps.join_scale(1.0, 3, 2.0, kind, t=t)
+        assert str(value.value) == str(graph.value)
+    with pytest.raises(ValueError, match="core join needs t < r"):
+        ps.join_scale(1.0, 3, 2.0, "k-t-t", t=3)
+
+
 def test_join_scale_against_solver():
     p = 3.0
     G = ps.complete(2, 4)

@@ -349,6 +349,31 @@ def test_round_trip_weights_bit_exact():
         assert all(H.weight(e) == w for e, w in G.edge_weights.items())
 
 
+@pytest.mark.parametrize("parse, text, what", [
+    (ps.from_json, '{"rank": 2,', "^malformed JSON graph: .*line 1 column"),
+    (ps.from_json, "[2, 3]", "top level must be an object"),
+    (ps.from_json, '{"rank": 2, "vertices": 3, "edges": [{"w": 1.0}]}',
+     "edge #0 missing 'verts'"),
+    (ps.from_text, " \n\n", "empty text graph"),
+    (ps.from_text, "2 three 1\n0 1\n", "header fields must be integers"),
+    (ps.from_text, "2 3 1\n0 1 heavy\n", "line 2: bad weight field 'heavy'"),
+    (ps.from_text, "2 3 1\n0 1 2 0.5\n", "line 2: expected 2 vertex ids"),
+], ids=["json-syntax", "json-array", "json-no-verts", "text-empty", "text-header",
+        "text-weight", "text-fields"])
+def test_parsers_refuse_malformed_input(parse, text, what):
+    with pytest.raises(ValueError, match=what):
+        parse(text)
+
+
+def test_scale():
+    G = ps.WeightedHypergraph(2, 3, {(0, 1): 0.5, (1, 2): 2.0})
+    H = ps.scale(G, 3.0)
+    assert H.edge_weights == {(0, 1): 1.5, (1, 2): 6.0}
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            ps.scale(G, c)
+
+
 def test_parse_errors_have_locations():
     with pytest.raises(ValueError, match="repeated vertex"):
         ps.from_json('{"rank": 3, "vertices": 3, "edges": [{"verts": [0, 0, 1]}]}')
