@@ -88,7 +88,8 @@ def verify_fixture(fx: Fixture, opts: SolveOptions | None = None) -> dict:
         runs = solve_restarts(fx.graph, fx.p, "max", opts)
         best = max(lam for lam, _, _ in runs)
         ok_value = abs(best - fx.expected) <= 1e-5
-        winners = [x for lam, x, _ in runs if lam >= best - 1e-7]
+        # a restart that stopped at an earlier one's end point is no maximizer
+        winners = [x for lam, x, res in runs if lam >= best - 1e-7 and res <= opts.tol]
         reps: list[np.ndarray] = []
         for x in winners:
             if all(np.max(np.abs(x - ref)) > 1e-3 for ref in reps):

@@ -58,6 +58,13 @@ Algorithm map
     `_newton_polish`'s saddle escape, halve their step at most
     `_MAX_HALVINGS` (10) times; a search that finds no progress within that
     budget takes no step, as at a stationary point.
+  Multi-level single linkage (Rinnooy Kan & Timmer, Math. Programming 39,
+    1987) during the search: each restart knows the end points of the
+    solve's earlier restarts that met tol, and at every iteration whose
+    iterate lies within `_DUPLICATE_RADIUS` (0.1, max-norm; up to global
+    sign for the even-rank minimum) of one whose value is at least as good
+    (within tol * max(1, |lam|)) it stops as a duplicate, with no Newton
+    polish.  A duplicate never wins, and is not refined at p = 1.
 
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort".  "converged"
@@ -67,8 +74,11 @@ the simplex iteration met tol, no global certificate: a clique's uniform
 weighting is a local maximum (Motzkin & Straus) that can win.  A
 flipped minimum takes its maximum's status.
 
-Restarts are independent given the seed and run one after another; the
-best candidate of those that ran wins, with value ties broken toward the
+Restarts run one after another, each stopped by the end points of those
+before it, so a restart's outcome depends on the restarts that ran before it;
+`restarts_used` counts them all, duplicates included.  Among the candidates
+that are not duplicates and lie within tol of the best value, those that met
+tol if any did, the best value wins, exact ties going to the
 lexicographically smallest vector, so a solve is bit-reproducible.
 """
 
@@ -101,6 +111,9 @@ _NEWTON_GATE = 1e-2
 _NEWTON_AFTER = 500
 _NEWTON_STEPS = 50
 _NEWTON_MAX_STEP = 0.5
+# a restart ends as a duplicate once its iterate lies within this max-norm
+# distance of an earlier restart's end point that met tol and is no worse
+_DUPLICATE_RADIUS = 0.1
 # brute_force_lambda's compass-search polish (see its docstring)
 _POLISH_ROWS = 100
 _POLISH_STEP = 0.25
@@ -143,7 +156,7 @@ class EigenResult:
     vector: PointOnSphere
     residual: float               # NaN at p = 1, where no defect is defined
     iterations: int
-    restarts_used: int            # the restarts that ran
+    restarts_used: int            # the restarts that ran, duplicates included
     status: str                   # "converged" | "best-effort"
     p: float
     target: str                   # "max" | "min"
@@ -221,6 +234,7 @@ class _Cand:
     iters: int
     tol_met: bool
     gap: float = math.nan
+    dup: bool = False             # stopped near an earlier restart's end point
 
 
 def _armijo_step(G, p, x, lam, g, eta):
@@ -301,7 +315,7 @@ def _fixed_point_step(cap, sense=1.0):
     return step
 
 
-def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
+def _sphere_loop(G, p, x0, tol, max_iter, sense, step, known=()) -> _Cand:
     """One restart of either extremum: the first-order `step` run in chunks
     of 20, 40, 80, ... (at most 5000) iterations and polished by
     `_newton_polish` once the relative residual is at most 1e-2 or the
@@ -317,6 +331,12 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     counts every residual as 0, so it ends after 10 stable values or a step
     that finds no progress, and Newton never runs.
 
+    `known` holds the candidates of the solve's earlier restarts that met
+    tol.  At every iteration whose iterate lies within `_DUPLICATE_RADIUS`
+    (max-norm; up to global sign for the minimum, which runs at even rank
+    only) of one whose value is at least as good, within tol * max(1, |lam|),
+    the restart ends as a duplicate (`dup`, never `tol_met`), unpolished.
+
     `step(G, p, x, lam, g, eta)` returns (x, lam, eta, g) at the new point,
     lam from the Euler identity x . grad / r at p > 1 and from the edge
     products at p = 1 (g may be None: the loop then takes it; eta is the
@@ -331,8 +351,13 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
         lam = _simplex_value(*G.arrays(), x)
     else:
         x = normalize_lp(np.maximum(x, 0.0) if sense > 0 else x, p)
+    if known:
+        ends = np.array([c.x for c in known])
+        goods = np.array([sense * c.lam for c in known])
+        if sense < 0:       # even rank: P(-x) = P(x)
+            ends, goods = np.vstack([ends, -ends]), np.concatenate([goods, goods])
     stable = stalled = 0
-    met = False
+    met = dup = False
     armed = True
     chunk = check_at = _FIRST_CHUNK
     for it in range(1, max_iter + 1):
@@ -341,6 +366,11 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
         if lam is None:
             lam = float(x @ g) / G.rank
         res = 0.0 if p == 1.0 else _residual_from_grad(G.rank, p, lam, x, g)
+        if known:
+            near = np.maximum.reduce(np.abs(ends - x), axis=1) <= _DUPLICATE_RADIUS
+            if near.any() and (goods[near] >= sense * lam - tol * max(1.0, abs(lam))).any():
+                dup = True
+                break
         stable, stalled = _settle(lam, lam_prev, res, tol, stable, stalled)
         if stable >= _STABLE_ITERS:
             met = True
@@ -371,11 +401,11 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step) -> _Cand:
     else:
         res = None      # max_iter ran out: the last step's residual is not known
     if p == 1.0:
-        return _Cand(x, lam, math.nan, it, met)
+        return _Cand(x, lam, math.nan, it, met, dup=dup)
     value = evaluate(G, x)
     if res is None:
         res = _residual_from_grad(G.rank, p, value, x, gradient(G, x))
-    return _Cand(x, value, res, it, met)
+    return _Cand(x, value, res, it, met, dup=dup)
 
 
 def _newton_polish(G, p, x, lam, tol, sense):
@@ -610,11 +640,12 @@ def _simplex_step(sense):
 def _refine_tied_simplex(G, cands, sense, tol):
     """Replace every value-tied p = 1 candidate by the Newton point on its
     face (`_newton_stationary`) when that is no worse (1e-12 relative): the
-    first-order method leaves entry errors near the root of the tolerance."""
-    best = max(sense * c.lam for c in cands)
+    first-order method leaves entry errors near the root of the tolerance.
+    Duplicates (`_Cand.dup`) are left as they are."""
+    best = max(sense * c.lam for c in cands if not c.dup)
     out = []
     for c in cands:
-        if sense * c.lam >= best - tol:
+        if not c.dup and sense * c.lam >= best - tol:
             with np.errstate(all="ignore"):
                 y = _newton_stationary(G, 1.0, c.x, c.lam, tol)
             if y is not None:
@@ -692,11 +723,15 @@ def _starts(G, p, opts, extra, sense):
 
 
 def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
+    """The winner among the candidates that are not duplicates: of those
+    within tol of the best value, the ones that met tol if any did, then the
+    best value, exact ties going to the lexicographically smallest vector."""
+    cands = [c for c in cands if not c.dup]
     best = max(sense * c.lam for c in cands)
     pool = [c for c in cands if sense * c.lam >= best - tol]
     if any(c.tol_met for c in pool):
         pool = [c for c in pool if c.tol_met]
-    return min(pool, key=lambda c: tuple(c.x.tolist()))
+    return min(pool, key=lambda c: (-sense * c.lam, tuple(c.x.tolist())))
 
 
 def _concavity_gap(G, p, x, lam) -> float:
@@ -746,9 +781,10 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
         step = _armijo_step
     cands = []
     for x0 in _starts(G, p, opts, extra, sense):
-        c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step)
+        known = [c for c in cands if c.tol_met]
+        c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step, known)
         cands.append(c)
-        if sense > 0 and p >= G.rank:
+        if sense > 0 and p >= G.rank and not c.dup:
             c.gap = _concavity_gap(G, p, c.x, c.lam)
             if c.tol_met and c.gap <= opts.tol * max(1.0, c.lam):
                 break
@@ -802,7 +838,10 @@ def solve_restarts(G: WeightedHypergraph, p: float, target: str = "max",
                    initial_vectors=()) -> list[tuple[float, np.ndarray, float]]:
     """The outcome (value, vector, residual) of every restart that ran, for
     diagnostics: the maximum at p >= r stops at its first certified restart,
-    and a minimum with a flip (`_flip_set`) is the flipped maximizer alone."""
+    and a minimum with a flip (`_flip_set`) is the flipped maximizer alone.
+    A restart that stopped as a duplicate of an earlier one's end point
+    reports the point it stopped at, with its value and residual there; the
+    residual is then usually above tol."""
     if target not in ("max", "min"):
         raise ValueError(f"target must be 'max' or 'min', got {target!r}")
     cands = _candidates(G, check_exponent(p), opts or SolveOptions(), target,

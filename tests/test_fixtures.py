@@ -61,3 +61,14 @@ def test_export_catalog(tmp_path):
     by_name = {fx.name: fx.graph for fx in ps.fixture_catalog()}
     for rec in index:
         assert ps.read_file(tmp_path / rec["file"]) == by_name[rec["name"]]
+
+
+def test_two_triples_maximizers_are_restarts_that_met_tol():
+    # a restart that stops at an earlier one's end point reports its stop
+    # point, which is no maximizer: 23 "distinct maximizers" were counted
+    # among 24 restarts before stopped restarts were left out
+    fx = next(f for f in ps.fixture_catalog() if f.name == "two-triples-share-vertex-p2")
+    opts = ps.SolveOptions(tol=1e-11, restarts=24, seed=7)
+    met = sum(res <= opts.tol for _, _, res in ps.solve_restarts(fx.graph, fx.p, "max", opts))
+    out = ps.verify_fixture(fx, opts)
+    assert out["ok"] and 2 <= out["distinct_maximizers"] <= met < opts.restarts

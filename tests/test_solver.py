@@ -148,12 +148,31 @@ def test_failing_armijo_search_stops_within_the_halving_budget(monkeypatch):
 BASELINE = ps.SolveOptions(tol=1e-10, restarts=8, seed=11)
 
 
+def _every_start_meets_tol(G, p, opts) -> int:
+    """Run every start of the maximum to its end, with no known end points,
+    and check that each meets tol; then check that each outcome of the solve
+    met tol or stopped within the duplicate radius of an earlier outcome
+    that met tol with a value at least its own (within the stop rule's
+    tol * max(1, |lam|)).  Returns the number of starts."""
+    from pspectral import solver
+    starts = solver._starts(G, p, opts, [], 1.0)
+    step = solver._fixed_point_step(solver.default_shift(G))
+    for x0 in starts:
+        assert solver._sphere_loop(G, p, x0, opts.tol, opts.max_iter, 1.0, step).res <= opts.tol
+    outcomes = ps.solve_restarts(G, p, "max", opts)
+    assert len(outcomes) == len(starts)
+    for i, (lam, x, res) in enumerate(outcomes):
+        assert res <= opts.tol or any(
+            res_k <= opts.tol and np.abs(x - x_k).max() <= solver._DUPLICATE_RADIUS
+            and lam_k >= lam - opts.tol * max(1.0, abs(lam))
+            for lam_k, x_k, res_k in outcomes[:i]), i
+    return len(starts)
+
+
 def test_every_cycle6_restart_meets_tol_at_p15():
     # the fixed point alone crawled from the edge and random starts and
     # stalled at residual 6.3e-7
-    outcomes = ps.solve_restarts(ps.cycle(2, 6), 1.5, "max", BASELINE)
-    assert len(outcomes) == 8
-    assert all(res <= BASELINE.tol for _, _, res in outcomes)
+    assert _every_start_meets_tol(ps.cycle(2, 6), 1.5, BASELINE) == 8
 
 
 def test_every_two_triples_restart_meets_tol_at_p15():
@@ -161,9 +180,67 @@ def test_every_two_triples_restart_meets_tol_at_p15():
     # discarding those points left 10 of these 24 restarts stalled above tol
     from pspectral.fixtures import two_edges_sharing
     opts = ps.SolveOptions(tol=1e-11, restarts=24, seed=7)
-    outcomes = ps.solve_restarts(two_edges_sharing(3, 1), 1.5, "max", opts)
-    assert len(outcomes) == 24
-    assert all(res <= opts.tol for _, _, res in outcomes)
+    assert _every_start_meets_tol(two_edges_sharing(3, 1), 1.5, opts) == 24
+
+
+def test_restarts_near_a_known_end_point_skip_their_polish(monkeypatch):
+    # every restart ran to its own Newton polish: 23 polishes and 101
+    # Hessians; the restarts that reach an earlier end point now stop there
+    from pspectral import solver
+    from pspectral.fixtures import two_edges_sharing
+    polishes, hessians = [], []
+    real_polish, real_hessian = solver._newton_polish, solver.hessian
+    monkeypatch.setattr(solver, "_newton_polish",
+                        lambda *a: polishes.append(1) or real_polish(*a))
+    monkeypatch.setattr(solver, "hessian", lambda *a: hessians.append(1) or real_hessian(*a))
+    res = ps.lambda_max(two_edges_sharing(3, 1), 1.5,
+                        ps.SolveOptions(tol=1e-11, restarts=24, seed=7))
+    assert float.hex(res.value) == "0x1.5555555555555p-1"
+    assert res.status == "best-effort" and res.restarts_used == 24
+    assert len(polishes) <= 6 and len(hessians) < 101
+
+
+def test_pick_never_returns_a_duplicate():
+    from pspectral.solver import _Cand, _pick
+    x = np.array([0.6, 0.8])
+    met = _Cand(x, 1.0, 0.0, 10, True)
+    for sense in (1.0, -1.0):
+        met.lam = sense
+        # the duplicate has the best value, the smallest vector at a tied
+        # value, or both
+        for good, y in ((2.0, x), (1.0, np.array([0.0, 1.0])), (2.0, np.array([0.0, 1.0]))):
+            dup = _Cand(y, sense * good, 0.5, 3, False, dup=True)
+            assert _pick([dup, met], sense, 1e-10) is met
+            assert _pick([met, dup], sense, 1e-10) is met
+
+
+def test_pick_takes_the_best_tied_value_before_the_vector():
+    from pspectral.solver import _Cand, _pick
+    lo = _Cand(np.array([0.0, 1.0]), 1.0, 0.0, 10, True)
+    hi = _Cand(np.array([1.0, 0.0]), 1.0 + 1e-15, 0.0, 10, True)
+    assert _pick([lo, hi], 1.0, 1e-10) is hi
+    assert _pick([lo, hi], -1.0, 1e-10) is lo
+    hi.lam = lo.lam
+    assert _pick([hi, lo], 1.0, 1e-10) is lo       # an exact tie: the smaller vector
+
+
+def test_curve_restarts_after_a_face_warm_start_stop_as_duplicates(monkeypatch):
+    # the p = 1 maximizer of cycle(3,7) lies inside a face of maximizers, and
+    # the p = 1.5 maximum is warm-started from it; its last start ran 300
+    # iterations to a point that the earlier restarts had already reached
+    from pspectral import solver
+    G = ps.cycle(3, 7)
+    warm = ps.normalize_lp(np.abs(ps.lambda_max(G, 1.0, FAST).vector.coords), 1.5)
+    runs = []
+    real = solver._sphere_loop
+    monkeypatch.setattr(solver, "_sphere_loop",
+                        lambda *a: runs.append((a[1], a[2], a[5], real(*a))) or runs[-1][3])
+    ps.lambda_curve(G, [1.0, 1.5, 2.0, 3.0], FAST)
+    top = [(x0, c) for p, x0, sense, c in runs if p == 1.5 and sense > 0]
+    assert len(top) == FAST.restarts
+    assert np.array_equal(top[1][0], warm)
+    assert top[-1][1].dup and top[-1][1].iters <= 20
+    assert max(c.iters for _, c in top) <= 20
 
 
 def test_cycle7_maximum_meets_tol_past_the_saddle(monkeypatch):
@@ -914,28 +991,29 @@ def test_serial_parallel_bit_identical():
 
 
 # Solves pinned bit for bit: value, a digest of the vector and the iteration
-# count.  Restructuring the restart machinery must move none of them.
+# count.  Restructuring the restart machinery must move none of them.  Six
+# were re-recorded when restarts began to stop at known end points.
 _G3 = ps.random_gnp(3, 9, 0.4, 1)
 _WARM = [np.linspace(1.0, 2.0, 9)]
 GOLDEN = {
     "max-fixed-point-p2": (
-        lambda: ps.lambda_max(_G3, 2.0, FAST), "0x1.85b6d784708e2p+2",
-        "dc4065d6b3697b26c675f6831e4e2e689bd9dd075f39fce83edbe173593a68db", 8),
+        lambda: ps.lambda_max(_G3, 2.0, FAST), "0x1.85b6d784708e1p+2",
+        "388eb2d3208b5e38aeebc9ad4e5d77be86a50976516430cdee2592015c33b9f4", 4),
     "max-warm-p4": (
         lambda: ps.lambda_max(_G3, 4.0, FAST, initial_vectors=_WARM), "0x1.f5739a7c1c722p+4",
         "f5989fa3d67a5242fa38af445227f4aa88fe6c365257d7fbe71b06cedff88018", 2),
     "max-warm-p1": (
-        lambda: ps.lambda_max(_G3, 1.0, FAST, initial_vectors=_WARM), "0x1.399680b9d4723p-2",
-        "ac5d25ae506b06bdee23b3c1894dddd67eb6cb7563d8f09d62a6f261f706d597", 15),
+        lambda: ps.lambda_max(_G3, 1.0, FAST, initial_vectors=_WARM), "0x1.399680b9d4725p-2",
+        "c90138f671b50775733d1eb251a6dec2cf104e477d8a4c0bd5d25ed368c46162", 39),
     "min-odd-rank": (
-        lambda: ps.lambda_min(_G3, 2.5, FAST), "-0x1.76f199b8c4a15p+3",
-        "19cf07cb2fa7c57c4ac571d8aa3eb25b67cd823e5e0912e7deac9e6124e85cea", 6),
+        lambda: ps.lambda_min(_G3, 2.5, FAST), "-0x1.76f199b8c4a16p+3",
+        "1f83e802fd9054b0ac452e947e1bcbe71fe5a9d02724d04b263a14b1c182da61", 3),
     "min-odd-transversal": (
         lambda: ps.lambda_min(ps.cycle(2, 6), 2.0, FAST), "-0x1.0000000000001p+1",
         "4c8a006d9ab9ba84927f1ad23b3daf0d6d340f5c18dd38b5d6860d8f85eff1e9", 11),
     "min-even-p1.5": (
         lambda: ps.lambda_min(ps.cycle(2, 5), 1.5, FAST), "-0x1.0f9faf511547ap+0",
-        "743dca868c60c20c0483f2e6a288bb332c8176bab3ee37831c242c95b22ee2f9", 20),
+        "2d0f69ec0a34081c40d6392d7a00de8ffa07418f0fa829c857403b6069fb29da", 7),
     "min-even-p1": (
         lambda: ps.lambda_min(ps.cycle(2, 5), 1.0, FAST), "-0x1.0000000000001p-1",
         "6884ecc169ebdf711eff0c53e529cc161be3a8f8a7b5daec90950de7fea09e59", 3),
@@ -949,11 +1027,11 @@ GOLDEN = {
         lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 1.0, FAST), "-0x1.4657ca3846e39p-3",
         "ace9b6508bd56e7fbb98f0a19fdc23f190c5a62a87524e83bac0b5e3adc9b4eb", 24),
     "min-example2": (
-        lambda: ps.lambda_min(EXAMPLE2, 1.118, POOL), "-0x1.3ee64e6e29734p-1",
-        "5e1e80c497cebd73f4742078d16f87559e7247770ce49ffd8da781c75cb76145", 106),
+        lambda: ps.lambda_min(EXAMPLE2, 1.118, POOL), "-0x1.3ee64e6e29736p-1",
+        "96a40810977e47a7628d4743f6e850e772449e74dfc9c1c3c30e91dbe53f9b4d", 62),
     "min-rank4": (
-        lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 4.0, FAST), "-0x1.741881a9480eap+5",
-        "d02003645c74284ffe91527549a5be29928e69afd847e2615fc303891889f00b", 14),
+        lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 4.0, FAST), "-0x1.741881a9480e7p+5",
+        "f363f62f755261cb679501c32d5007f8930010b1fa272434ec99ac0199c937d7", 12),
 }
 
 
@@ -970,8 +1048,8 @@ def test_golden_odd_rank_curve_bit_identical():
     rows = ps.lambda_curve(ps.cycle(3, 7), [1.0, 1.5, 2.0, 3.0], FAST)
     assert [(float.hex(r.lam_max), float.hex(r.lam_min)) for r in rows] == [
         ("0x1.c71c71c71c71cp-3", "-0x1.c71c71c71c71cp-3"),
-        ("0x1.ce2adfd79fb4cp-1", "-0x1.ce2adfd79fb4cp-1"),
-        ("0x1.2246d6cfdf9eep+1", "-0x1.2246d6cfdf9eep+1"),
+        ("0x1.ce2adfd79fb4ep-1", "-0x1.ce2adfd79fb4ep-1"),
+        ("0x1.2246d6cfdf9ecp+1", "-0x1.2246d6cfdf9ecp+1"),
         ("0x1.8000000000003p+2", "-0x1.8000000000003p+2"),
     ]
 
@@ -986,8 +1064,10 @@ def test_pool_traffic_bit_identical():
             h.update(res.vector.coords.tobytes())
             h.update(res.status.encode())
     # re-recorded when the odd-rank minimizer became -x + 0.0: draws 7, 9, 14
-    # and 19 (rank 3, T not the vertex set) moved only the signs of entries
-    assert h.hexdigest() == "13128742bdaf4a81ba638a38425bde554611b146f74963e69fa009a776f45a56"
+    # and 19 (rank 3, T not the vertex set) moved only the signs of entries;
+    # and when restarts began to stop at known end points, with the best
+    # tied value winning before the vector key
+    assert h.hexdigest() == "d9e3d7fcb004f80c7b8f516c89ec55589f81c754a83b260569db8ee269e98a29"
 
 
 def test_start_lists_bit_identical():
