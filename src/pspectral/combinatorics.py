@@ -1,9 +1,11 @@
 """Structural predicates and statistics: connectivity, tightness, transversals,
-linearity, regularity, vertex equivalence, degrees, and exact weak coloring.
+linearity, regularity, vertex equivalence, degrees, exact weak coloring and
+the clique list of a 2-graph.
 
 Predicates on weighted graphs act on the support edge set.  NP-hard checks
 are exact searches with explicit desk-scale budgets; exceeding a budget is an
-error, never a silent approximation.
+error, never a silent approximation.  The one exception is the clique list,
+whose caller, the p = 1 solver, falls back to its restarts past the budget.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .hypergraph import WeightedHypergraph
 TIGHTNESS_BUDGET = 20     # exact subset enumeration bound for is_k_tight
 COLORING_BUDGET = 16      # exact chromatic / partiteness search bound
 STAR_BUDGET = 64          # edges through one vertex in the beta-degree search
+CLIQUE_BUDGET = 16384     # cliques listed for the exact p = 1 maximum of a 2-graph
 
 
 @dataclass(frozen=True)
@@ -331,6 +334,32 @@ def _least_coloring(n: int, edges) -> int:
         return False
 
     return next((k for k in range(1, n + 1) if place(0, k)), n)
+
+
+def _cliques(n: int, pairs) -> list[tuple[int, ...]] | None:
+    """Every clique of two or more vertices of the graph on range(n) with the
+    edges `pairs`, each an ascending tuple, in lexicographic order; None once
+    more than CLIQUE_BUDGET are found.
+
+    Depth-first: a clique grows only by a common neighbour above its largest
+    vertex, kept as a bit mask, so each clique is listed once.
+    """
+    nbr = [0] * n
+    for a, b in pairs:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    found = []
+
+    def grow(clique: tuple[int, ...], cand: int):
+        while cand and len(found) <= CLIQUE_BUDGET:
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            found.append(clique + (v,))
+            grow(clique + (v,), cand & nbr[v])
+
+    for v in range(n):
+        grow((v,), nbr[v] >> (v + 1) << (v + 1))
+    return found if len(found) <= CLIQUE_BUDGET else None
 
 
 def chromatic_number_exact(G: WeightedHypergraph) -> int:

@@ -3,8 +3,17 @@ l^p unit sphere, with certified stationarity residuals, a sampling oracle,
 and Collatz-Wielandt style envelopes.
 
 Algorithm map
-  One builder (`_starts`) makes the starts of either target, and every one
-  runs through `_sphere_loop`; only its step depends on p and the target.
+  2-graphs at p = 1 and 2 (`_closed_form`): the value is x^T A x for the
+    weighted adjacency matrix A, and the extremum is exact, with no restart.
+    At p = 2 the extremes are the top and bottom eigenpairs of A
+    (`np.linalg.eigh`).  At p = 1 the minimum is -w_max/2, at +-1/2 on the
+    heaviest edge, and the maximum is the Lagrangian, found on a clique
+    (`_lagrangian`).  The flipped minimum below comes first; the restarts
+    take over above `_DENSE_MAX_N` vertices, and for the p = 1 maximum above
+    `combinatorics.CLIQUE_BUDGET` cliques.
+  Otherwise one builder (`_starts`) makes the starts of either target, and
+  every one runs through `_sphere_loop`; only its step depends on p and the
+  target.
   p = 1: the l^1 sphere is a simplex in each sign orthant, and the step
     (`_simplex_step`) is projected gradient on the simplex of the iterate's
     orthant; Newton on the KKT system of the face it ends on polishes the
@@ -69,10 +78,11 @@ Algorithm map
 For 1 < p < r several distinct positive stationary points may exist, so the
 best-of-restarts value is reported with status "best-effort".  "converged"
 needs tol met and, at p >= r, a winner's gap of at most tol * max(1, lam)
-(an edgeless graph is trivially "converged").  At p = 1 it means only that
-the simplex iteration met tol, no global certificate: a clique's uniform
-weighting is a local maximum (Motzkin & Straus) that can win.  A
-flipped minimum takes its maximum's status.
+(an edgeless graph is trivially "converged").  A closed form is "converged"
+and exact.  Elsewhere at p = 1 "converged" means only that the simplex
+iteration met tol, no global certificate: a clique's uniform weighting is a
+local maximum (Motzkin & Straus) that can win.  A flipped minimum takes its
+maximum's status.
 
 Restarts run one after another, each stopped by the end points of those
 before it, so a restart's outcome depends on the restarts that ran before it;
@@ -90,7 +100,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .combinatorics import odd_transversal
+from .combinatorics import _cliques, odd_transversal
 from .hypergraph import WeightedHypergraph, _as_int
 from .polyform import (PointOnSphere, check_exponent, evaluate, evaluate_many,
                        gradient, hessian, lp_norm, normalize_lp)
@@ -114,6 +124,9 @@ _NEWTON_MAX_STEP = 0.5
 # a restart ends as a duplicate once its iterate lies within this max-norm
 # distance of an earlier restart's end point that met tol and is no worse
 _DUPLICATE_RADIUS = 0.1
+# `_closed_form` builds a 2-graph's dense adjacency matrix up to this many
+# vertices; above it the p = 2 extremes and the p = 1 maximum run restarts
+_DENSE_MAX_N = 1000
 # brute_force_lambda's compass-search polish (see its docstring)
 _POLISH_ROWS = 100
 _POLISH_STEP = 0.25
@@ -150,12 +163,16 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Solver output: extremal value, unit vector, stationarity defect, diagnostics."""
+    """Solver output: extremal value, unit vector, stationarity defect, diagnostics.
+
+    A closed form (`_closed_form`) runs no restart: it reports 0 iterations,
+    0 restarts and gap NaN.
+    """
 
     value: float
     vector: PointOnSphere
     residual: float               # NaN at p = 1, where no defect is defined
-    iterations: int
+    iterations: int               # the winning restart's
     restarts_used: int            # the restarts that ran, duplicates included
     status: str                   # "converged" | "best-effort"
     p: float
@@ -793,6 +810,83 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
     return cands
 
 
+def _closed_form(G, p, target):
+    """The exact extremizer of a 2-graph at p = 1 or 2, or None where there
+    is none to take: another rank or p, n above `_DENSE_MAX_N`, or more
+    cliques than `combinatorics.CLIQUE_BUDGET` for the p = 1 maximum.
+
+    The value is x^T A x for the weighted adjacency matrix A >= 0.
+    p = 2: the top eigenvector v of A (`np.linalg.eigh`), as |v|, which is
+      one too, since |v|^T A |v| >= v^T A v; the minimum takes the bottom
+      one.
+    p = 1, minimum: +-1/2 on the heaviest edge, at -w_max/2.  On the l^1
+      sphere, with x = u - v split by sign, x^T A x >= -2 u^T A v
+      >= -2 w_max sum(u) sum(v) >= -w_max/2.
+    p = 1, maximum: the Lagrangian (Motzkin & Straus, Canad. J. Math. 17,
+      1965), `_lagrangian`.
+    """
+    if G.rank != 2 or p not in (1.0, 2.0):
+        return None
+    n = G.n_vertices
+    idx, w = G.arrays()
+    if p == 1.0 and target == "min":
+        x = np.zeros(n)
+        x[idx[int(np.argmax(w))]] = (0.5, -0.5)
+        return x
+    if n > _DENSE_MAX_N:
+        return None
+    A = np.zeros((n, n))
+    A[idx[:, 0], idx[:, 1]] = w
+    A[idx[:, 1], idx[:, 0]] = w
+    if p == 1.0:
+        return _lagrangian(A, idx)
+    v = np.linalg.eigh(A)[1][:, -1 if target == "max" else 0]
+    return np.abs(v) if target == "max" else v
+
+
+def _lagrangian(A, edges):
+    """A maximizer of x^T A x on the simplex, or None past the clique budget.
+
+    Some maximizer is supported on a clique S (Frankl & Rodl, Combinatorica
+    4, 1984: weight moves along a non-edge without loss), and one of least
+    support is stationary inside the face of S, where A_S y = 1 and
+    x = y / sum(y), with value 1 / sum(y).  So every clique whose y is
+    positive gives a candidate, and the best is the maximum.  A singular A_S
+    is skipped: a null vector d has sum(d) = 0 unless the value is 0, and
+    moving along it reaches a sub-clique at the same value.
+    """
+    cliques = _cliques(A.shape[0], edges.tolist())
+    if cliques is None:
+        return None
+    by_size: dict[int, list] = {}
+    for S in cliques:
+        by_size.setdefault(len(S), []).append(S)
+    best, x = -math.inf, np.zeros(A.shape[0])
+    for group in by_size.values():
+        S = np.array(group)
+        faces = A[S[:, :, None], S[:, None, :]]
+        ones = np.ones((*S.shape, 1))
+        try:
+            Y = np.linalg.solve(faces, ones)[..., 0]
+        except np.linalg.LinAlgError:     # a singular face: solve the rest one by one
+            Y = np.full(S.shape, np.nan)
+            for i, F in enumerate(faces):
+                try:
+                    Y[i] = np.linalg.solve(F, ones[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    pass
+        total = Y.sum(axis=1)
+        ok = np.all(Y > 0.0, axis=1)
+        vals = np.full(len(S), -math.inf)
+        vals[ok] = 1.0 / total[ok]
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best = vals[j]
+            x[:] = 0.0
+            x[S[j]] = Y[j] / total[j]
+    return x
+
+
 def _flip_set(G):
     """The vertices whose sign flip negates every edge product (all at odd rank), or None."""
     return range(G.n_vertices) if G.rank % 2 else odd_transversal(G)
@@ -814,16 +908,27 @@ def _warm_vectors(G, vecs) -> list[np.ndarray]:
 
 
 def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
-    """The best candidate of `target` for a checked p (see `_candidates`).
+    """The exact extremum of a 2-graph at p = 1 or 2 where `_closed_form`
+    gives one and no flip makes the minimum (`_flip_set`), else the best
+    candidate of `target` for a checked p (see `_candidates`).
 
-    It is "converged" when it met tol and, for the maximum, p = 1 or its
-    concavity gap is at most tol * max(1, lam) (the gap is NaN at 1 < p < r);
-    for the minimum, when it is the flipped maximizer (`_flip_set`).
+    A closed form is "converged", with no iteration and no restart.  A
+    candidate is "converged" when it met tol and, for the maximum, p = 1 or
+    its concavity gap is at most tol * max(1, lam) (the gap is NaN at
+    1 < p < r); for the minimum, when it is the flipped maximizer.
     """
     extra = _warm_vectors(G, extra)
     if G.n_vertices == 0 or G.num_edges == 0:
         vec = PointOnSphere(np.zeros(G.n_vertices), p, normalized=False)
         return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
+    x = (_closed_form(G, p, target)
+         if target == "max" or _flip_set(G) is None else None)
+    if x is not None:
+        x = normalize_lp(x, p)      # eigh's unit vectors are off by a few ulps
+        lam = evaluate(G, x)
+        res = math.nan if p == 1.0 else _residual_from_grad(2, p, lam, x, gradient(G, x))
+        return EigenResult(lam, PointOnSphere(x, p, normalized=False), res, 0, 0,
+                           "converged", p, target)
     cands = _candidates(G, p, opts, target, extra, top)
     win = _pick(cands, 1.0 if target == "max" else -1.0, opts.tol)
     converged = (_flip_set(G) is not None if target == "min"
@@ -951,8 +1056,18 @@ def brute_force_lambda(G: WeightedHypergraph, p: float, target: str = "max",
     if n <= 8:
         X = np.vstack([X, _sign_patterns(n, p)])
     vals = sense * evaluate_many(G, X)
-    keep = np.argsort(-vals, kind="stable")[:_POLISH_ROWS]
+    keep = _top_rows(vals, _POLISH_ROWS)
     return sense * float(_compass_polish(G, p, sense, X[keep], vals[keep]).max())
+
+
+def _top_rows(vals, k):
+    """The indices of the k largest of the values (none NaN), largest first
+    and ties in index order: `np.argsort(-vals, kind="stable")[:k]`, with a
+    partition and a stable sort of only the values at or above the k-th."""
+    kth = max(vals.size - k, 0)
+    cut = np.partition(vals, kth)[kth]
+    top = np.flatnonzero(vals >= cut)
+    return top[np.argsort(-vals[top], kind="stable")[:k]]
 
 
 def _compass_polish(G, p, sense, Z, f):

@@ -129,3 +129,19 @@ def hofmeister_limitation(r: int, k: int, eps: float = 0.5):
     deg = G.degrees()
     power_mean = math.factorial(r - 1) * float(np.mean(deg ** q)) ** (1.0 / q)
     return G, lam, power_mean
+
+
+def clique_number(G: WeightedHypergraph) -> int:
+    """The largest clique of a 2-graph, by trying every vertex set of each
+    size in turn (n <= 16)."""
+    n = G.n_vertices
+    if n > 16:
+        raise ValueError(f"clique search exceeds budget (n={n})")
+    pairs = set(G.edges())
+    omega = min(n, 1)
+    for k in range(2, n + 1):
+        if not any(all(pair in pairs for pair in itertools.combinations(S, 2))
+                   for S in itertools.combinations(range(n), k)):
+            break
+        omega = k
+    return omega

@@ -251,3 +251,22 @@ def test_path_graph_classes_and_chromatic():
     P = path(4)
     assert ps.chromatic_number_exact(P) == 2
     assert ps.equivalence_classes(P) == ((0,), (1,), (2,), (3,))
+
+
+def test_cliques_are_every_clique_in_order():
+    from pspectral.combinatorics import _cliques
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        G = random_graph(rng, r=2, n_lo=3, n_hi=9)
+        n, pairs = G.n_vertices, set(G.edges())
+        want = [S for k in range(2, n + 1) for S in itertools.combinations(range(n), k)
+                if all(e in pairs for e in itertools.combinations(S, 2))]
+        assert _cliques(n, G.edges()) == sorted(want)
+
+
+def test_cliques_stop_at_the_budget():
+    from pspectral.combinatorics import CLIQUE_BUDGET, _cliques
+    # K_n has 2^n - n - 1 cliques of two or more vertices
+    n = (CLIQUE_BUDGET + 1).bit_length()
+    assert len(_cliques(n - 1, ps.complete(2, n - 1).edges())) == 2 ** (n - 1) - n
+    assert _cliques(n, ps.complete(2, n).edges()) is None

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pspectral as ps
-from helpers import FAST, MIN_FUZZ, TIGHT, criterion7_draws, min_fuzz_cases, random_graph
+from helpers import (FAST, MIN_FUZZ, TIGHT, clique_number, criterion7_draws, min_fuzz_cases,
+                     random_graph)
 
 
 def test_single_edge_max_across_p():
@@ -85,7 +86,10 @@ def test_status_regimes():
     assert ps.lambda_max(K, 3.0, FAST).status == "converged"
     assert ps.lambda_max(K, 1.0, FAST).status == "converged"
     assert ps.lambda_max(K, 2.0, FAST).status == "best-effort"  # 1 < p < r
-    assert ps.lambda_min(ps.complete(2, 4), 2.0, FAST).status == "best-effort"
+    # a 2-graph's minimum at p = 2 is an eigenvalue, exact; at p = 3 the
+    # even-rank minimum without an odd transversal has no certificate
+    assert ps.lambda_min(ps.complete(2, 4), 2.0, FAST).status == "converged"
+    assert ps.lambda_min(ps.complete(2, 4), 3.0, FAST).status == "best-effort"
 
 
 def test_solve_options_validation():
@@ -393,7 +397,11 @@ def test_concavity_gap_bounds_the_maximum_at_random_points():
                 assert top <= lam + _concavity_gap(G, p, x, lam) + FAST.tol
 
 
-def test_maximum_at_p_ge_r_stops_at_its_first_certified_restart():
+def test_maximum_at_p_ge_r_stops_at_its_first_certified_restart(monkeypatch):
+    # the 2-graphs drawn at p = 2 take the restarts, as the closed form's
+    # fallback does above its n cap
+    from pspectral import solver
+    monkeypatch.setattr(solver, "_DENSE_MAX_N", 0)
     res = ps.lambda_max(ps.random_gnp(4, 25, 0.45, 1), 4.0, POOL)
     assert res.restarts_used == 1
     rng = np.random.default_rng(43)
@@ -409,15 +417,25 @@ def test_maximum_at_p_ge_r_stops_at_its_first_certified_restart():
     assert stopped > 0
 
 
-def test_converged_at_p_ge_r_rests_on_the_gap():
+def test_converged_at_p_ge_r_rests_on_the_gap(monkeypatch):
     # the maximizer lies on the 5-cycle, where the single edge's vertices are
-    # zero: every restart meets tol, but the gap there is infinite
+    # zero: every restart meets tol, but the gap there is infinite.  At rank
+    # 3 the restarts leave such vertices near 1e-7, not 0, and certify, so
+    # the 2-graph takes the restarts, as above the closed form's n cap
+    from pspectral import solver
     G = ps.disjoint_union(ps.cycle(2, 5), ps.single_edge(2))
-    res = ps.lambda_max(G, 2.0, FAST)
-    assert res.residual <= FAST.tol and res.gap == math.inf
-    assert res.status == "best-effort"
-    # the minimum, flipped on an odd transversal, takes the maximum's status
-    assert ps.lambda_min(G, 2.0, FAST).status == "best-effort"
+    exact = ps.lambda_max(G, 2.0, FAST)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_DENSE_MAX_N", 0)
+        res = ps.lambda_max(G, 2.0, FAST)
+        assert res.residual <= FAST.tol and res.gap == math.inf
+        assert res.status == "best-effort"
+        # the 5-cycle has no odd transversal: the minimum's restarts certify nothing
+        assert ps.lambda_min(G, 2.0, FAST).status == "best-effort"
+    # the closed form is exact: the 5-cycle's top eigenvalue 2, converged
+    assert exact.status == "converged" and exact.value == 2.0
+    assert exact.restarts_used == 0 and math.isnan(exact.gap)
+    assert ps.lambda_min(G, 2.0, FAST).status == "converged"
 
 
 def test_concavity_skip_never_hides_a_failing_second_order_test(monkeypatch):
@@ -754,6 +772,20 @@ def test_oracle_same_seed_bit_identical():
         assert a == b
 
 
+def test_oracle_row_selection_keeps_the_stable_argsort_order():
+    from pspectral.solver import _top_rows
+    rng = np.random.default_rng(8)
+    for i in range(200):
+        n = int(rng.integers(1, 3000))
+        vals = [rng.normal(size=n), rng.integers(0, 4, n).astype(float),
+                np.full(n, 1.5), np.round(rng.normal(size=n), 1)][i % 4]
+        vals[rng.random(n) < 0.2] = 0.0
+        vals[rng.random(n) < 0.1] = -0.0
+        for k in (1, 7, 100):
+            assert np.array_equal(_top_rows(vals, k),
+                                  np.argsort(-vals, kind="stable")[:k]), (i, k)
+
+
 def test_oracle_names_a_bad_seed():
     # else numpy raises "expected non-negative integer", naming no option
     with pytest.raises(ValueError, match="seed must be nonnegative"):
@@ -992,7 +1024,8 @@ def test_serial_parallel_bit_identical():
 
 # Solves pinned bit for bit: value, a digest of the vector and the iteration
 # count.  Restructuring the restart machinery must move none of them.  Six
-# were re-recorded when restarts began to stop at known end points.
+# were re-recorded when restarts began to stop at known end points, and the
+# four 2-graph minima at p = 1 and 2 when those became closed forms.
 _G3 = ps.random_gnp(3, 9, 0.4, 1)
 _WARM = [np.linspace(1.0, 2.0, 9)]
 GOLDEN = {
@@ -1009,20 +1042,20 @@ GOLDEN = {
         lambda: ps.lambda_min(_G3, 2.5, FAST), "-0x1.76f199b8c4a16p+3",
         "1f83e802fd9054b0ac452e947e1bcbe71fe5a9d02724d04b263a14b1c182da61", 3),
     "min-odd-transversal": (
-        lambda: ps.lambda_min(ps.cycle(2, 6), 2.0, FAST), "-0x1.0000000000001p+1",
-        "4c8a006d9ab9ba84927f1ad23b3daf0d6d340f5c18dd38b5d6860d8f85eff1e9", 11),
+        lambda: ps.lambda_min(ps.cycle(2, 6), 2.0, FAST), "-0x1.0000000000000p+1",
+        "8aa747dcc1c5a75118b7dfaf3aa1b0e9f8f42f59e7ddd5a3e4c3dd7761a2fd19", 0),
     "min-even-p1.5": (
         lambda: ps.lambda_min(ps.cycle(2, 5), 1.5, FAST), "-0x1.0f9faf511547ap+0",
         "2d0f69ec0a34081c40d6392d7a00de8ffa07418f0fa829c857403b6069fb29da", 7),
     "min-even-p1": (
-        lambda: ps.lambda_min(ps.cycle(2, 5), 1.0, FAST), "-0x1.0000000000001p-1",
-        "6884ecc169ebdf711eff0c53e529cc161be3a8f8a7b5daec90950de7fea09e59", 3),
+        lambda: ps.lambda_min(ps.cycle(2, 5), 1.0, FAST), "-0x1.0000000000000p-1",
+        "7d39a513da137ba85a7ba59618e4021c5a74027ab0fa0f535de6b96e8eec89f1", 0),
     "min-p1-random-orthants": (
-        lambda: ps.lambda_min(ps.cycle(2, 7), 1.0, FAST), "-0x1.0000000000001p-1",
-        "ae55ad1bf617fff138affb50375f4fa4aa2aed60f8c58f37f3347261fb030ad1", 11),
+        lambda: ps.lambda_min(ps.cycle(2, 7), 1.0, FAST), "-0x1.0000000000000p-1",
+        "f9fa3e072636bd05a33a8d67347cb4aa8317f375cdb97757d2ce21775866d8b7", 0),
     "min-p1-flip-orthant": (
         lambda: ps.lambda_min(ps.cycle(2, 8), 1.0, FAST), "-0x1.0000000000000p-1",
-        "8a8151318c2b3b89f77047028d340be3969d25a8a9a099a9373f0f13d42406fe", 15),
+        "fbe6e7303ac7818799b7759fbfc9ca71cdc929518191e48b873bc2e195282a6d", 0),
     "min-p1-rank4": (
         lambda: ps.lambda_min(ps.random_gnp(4, 8, 0.5, 2), 1.0, FAST), "-0x1.4657ca3846e39p-3",
         "ace9b6508bd56e7fbb98f0a19fdc23f190c5a62a87524e83bac0b5e3adc9b4eb", 24),
@@ -1236,13 +1269,114 @@ def test_p1_even_rank_minimum_uses_its_warm_vector():
     assert res.value <= ps.evaluate(G, v) + 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="p = 1 has no global certificate yet: a "
-                   "clique's uniform weighting is a local maximum of the Lagrangian")
+# the clique {1, 5, 6, 10} gives 3/4 at p = 1; four restarts found only 2/3,
+# a triangle's uniform weighting, and called it converged
+G12 = ps.from_edge_list(2, 12, [
+    (0, 2), (0, 4), (0, 11), (1, 2), (1, 5), (1, 6), (1, 7), (1, 10), (2, 4), (2, 7),
+    (2, 9), (2, 11), (3, 8), (3, 11), (4, 5), (5, 6), (5, 10), (5, 11), (6, 7), (6, 10),
+    (8, 10), (9, 10), (9, 11), (10, 11)])
+
+
 def test_p1_converged_maximum_is_the_lagrangian():
-    # the clique {1, 5, 6, 10} gives 3/4; the solve returns 2/3, a triangle's value
-    G = ps.from_edge_list(2, 12, [
-        (0, 2), (0, 4), (0, 11), (1, 2), (1, 5), (1, 6), (1, 7), (1, 10), (2, 4), (2, 7),
-        (2, 9), (2, 11), (3, 8), (3, 11), (4, 5), (5, 6), (5, 10), (5, 11), (6, 7), (6, 10),
-        (8, 10), (9, 10), (9, 11), (10, 11)])
-    res = ps.lambda_max(G, 1.0, ps.SolveOptions(tol=1e-9, restarts=4, seed=2024))
-    assert res.value >= 0.75 - 1e-9 or res.status == "best-effort"
+    res = ps.lambda_max(G12, 1.0, POOL)
+    assert abs(res.value - 0.75) <= 4 * np.spacing(0.75)
+    assert res.status == "converged"
+    assert np.flatnonzero(res.vector.coords).tolist() == [1, 5, 6, 10]
+
+
+def test_p1_exact_maximum_mends_the_curve():
+    # 2/3 at p = 1 made h and f rise to p = 1.01, against the paper
+    rows = ps.lambda_curve(G12, [1.0, 1.01, 1.05, 1.1, 1.3, 2.0], POOL)
+    assert abs(rows[0].lam_max - 0.75) <= 4 * np.spacing(0.75)
+    for a, b in zip(rows, rows[1:]):
+        assert b.h <= a.h and b.f <= a.f, (a, b)
+
+
+def _adjacency(G):
+    A = np.zeros((G.n_vertices, G.n_vertices))
+    for (i, j), w in G.edge_weights.items():
+        A[i, j] = A[j, i] = w
+    return A
+
+
+def _weighted_2_graphs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [random_graph(rng, r=2, n_lo=3, n_hi=14, weighted=True) for _ in range(count)]
+
+
+def test_p2_extremes_of_a_2_graph_are_its_eigenvalues():
+    for G in _weighted_2_graphs(61, 30):
+        evals = np.linalg.eigvalsh(_adjacency(G))
+        top, bot = ps.extremes(G, 2.0, FAST)
+        for res, want in ((top, evals[-1]), (bot, evals[0])):
+            assert abs(res.value - want) <= 1e-12 * abs(want), (G, res.target)
+            assert res.status == "converged" and res.residual <= FAST.tol
+            assert res.iterations == 0 and res.restarts_used in (0, 1)  # 1: flipped
+
+
+def test_p1_minimum_of_a_2_graph_is_half_the_heaviest_weight():
+    for G in _weighted_2_graphs(62, 30) + [ps.cycle(2, 5), ps.complete(2, 4)]:
+        w_max = max(G.edge_weights.values())
+        res = ps.lambda_min(G, 1.0, FAST)
+        assert abs(res.value + w_max / 2) <= 4 * np.spacing(w_max / 2), G
+        assert res.status == "converged"
+
+
+def test_p1_maximum_of_a_2_graph_is_one_minus_one_over_the_clique_number():
+    # Motzkin & Straus, Canad. J. Math. 17, 1965
+    rng = np.random.default_rng(63)
+    for _ in range(60):
+        G = random_graph(rng, r=2, n_lo=4, n_hi=14, density=float(rng.uniform(0.2, 0.7)))
+        want = 1.0 - 1.0 / clique_number(G)
+        res = ps.lambda_max(G, 1.0, POOL)
+        assert abs(res.value - want) <= 4 * np.spacing(want), G
+        assert res.status == "converged" and res.restarts_used == 0
+
+
+def test_p1_maximum_skips_a_singular_clique_face():
+    # the face of {0, 1, 2, 3} is singular (products of opposite weights 1, 4
+    # and 9), and it is solved in one batch with that of {0, 1, 2, 4}; the
+    # maximum is the triangle {1, 2, 4}, where A_S y = 1 gives y = (.2, .2, .16)
+    G = ps.WeightedHypergraph(2, 5, {(0, 1): 1.0, (2, 3): 1.0, (0, 2): 2.0, (1, 3): 2.0,
+                                     (0, 3): 3.0, (1, 2): 3.0, (0, 4): 2.5, (1, 4): 2.5,
+                                     (2, 4): 2.5})
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(_adjacency(G)[:4, :4], np.ones(4))
+    res = ps.lambda_max(G, 1.0, FAST)
+    assert abs(res.value - 25 / 14) <= 4 * np.spacing(25 / 14)
+    assert np.flatnonzero(res.vector.coords).tolist() == [1, 2, 4]
+    assert res.status == "converged" and res.restarts_used == 0
+
+
+def test_closed_forms_run_no_restart(monkeypatch):
+    from pspectral import solver
+
+    def loop(*args, **kwargs):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr(solver, "_sphere_loop", loop)
+    graphs = _weighted_2_graphs(64, 10) + [G12, ps.cycle(2, 6), ps.complete(2, 12)]
+    for G in graphs:
+        for p in (1.0, 2.0):
+            ps.extremes(G, p, FAST)
+            ps.lambda_min(G, p, FAST)
+        ps.lambda_curve(G, [1.0, 2.0], FAST)
+
+
+def test_closed_forms_fall_back_to_the_restarts(monkeypatch):
+    from pspectral import combinatorics, solver
+    # above the clique budget the p = 1 maximum is the restarts' 2/3 again,
+    # and above the n cap the p = 2 extremes are the restarts' values
+    monkeypatch.setattr(combinatorics, "CLIQUE_BUDGET", 35)   # G12 has 36
+    res = ps.lambda_max(G12, 1.0, POOL)
+    assert (float.hex(res.value), res.status, res.restarts_used, res.iterations) == (
+        "0x1.5555555555557p-1", "converged", 4, 17)
+    assert ps.lambda_max(G12, 2.0, POOL).restarts_used == 0
+    monkeypatch.setattr(solver, "_DENSE_MAX_N", 11)
+    top, bot = ps.extremes(G12, 2.0, POOL)
+    assert (float.hex(top.value), top.status, top.restarts_used, top.iterations) == (
+        "0x1.20574e1fa8bd1p+2", "converged", 1, 7)
+    assert (float.hex(bot.value), bot.status, bot.restarts_used, bot.iterations) == (
+        "-0x1.63aa78d874690p+1", "best-effort", 4, 20)
+    monkeypatch.setattr(combinatorics, "CLIQUE_BUDGET", 10_000)
+    assert ps.lambda_max(G12, 1.0, POOL).restarts_used == 4    # the n cap holds p = 1 too
