@@ -125,7 +125,10 @@ _NEWTON_MAX_STEP = 0.5
 # distance of an earlier restart's end point that met tol and is no worse
 _DUPLICATE_RADIUS = 0.1
 # `_closed_form` builds a 2-graph's dense adjacency matrix up to this many
-# vertices; above it the p = 2 extremes and the p = 1 maximum run restarts
+# vertices; above it the p = 2 extremes and the p = 1 maximum run restarts.
+# 1000 is the largest n timed against the restarts: at p = 2 there one eigh
+# took 0.12-0.21 s, the restarts 0.18-0.30 s for the maximum and 15-23 s for
+# the minimum (random 2-graphs of density 4/n and 0.3, 2-core x86-64)
 _DENSE_MAX_N = 1000
 # brute_force_lambda's compass-search polish (see its docstring)
 _POLISH_ROWS = 100
@@ -166,7 +169,9 @@ class EigenResult:
     """Solver output: extremal value, unit vector, stationarity defect, diagnostics.
 
     A closed form (`_closed_form`) runs no restart: it reports 0 iterations,
-    0 restarts and gap NaN.
+    0 restarts and gap NaN.  A flipped minimum (`_flip_set`) counts the flip
+    as its one restart and reports its maximum's iterations, so one flipped
+    from a closed form reports 0 iterations and 1 restart.
     """
 
     value: float
@@ -812,8 +817,9 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
 
 def _closed_form(G, p, target):
     """The exact extremizer of a 2-graph at p = 1 or 2, or None where there
-    is none to take: another rank or p, n above `_DENSE_MAX_N`, or more
-    cliques than `combinatorics.CLIQUE_BUDGET` for the p = 1 maximum.
+    is none to take: another rank or p, a minimum that the flip makes
+    (`_flip_set`), n above `_DENSE_MAX_N`, or more cliques than
+    `combinatorics.CLIQUE_BUDGET` for the p = 1 maximum.
 
     The value is x^T A x for the weighted adjacency matrix A >= 0.
     p = 2: the top eigenvector v of A (`np.linalg.eigh`), as |v|, which is
@@ -826,6 +832,8 @@ def _closed_form(G, p, target):
       1965), `_lagrangian`.
     """
     if G.rank != 2 or p not in (1.0, 2.0):
+        return None
+    if target == "min" and _flip_set(G) is not None:
         return None
     n = G.n_vertices
     idx, w = G.arrays()
@@ -909,8 +917,8 @@ def _warm_vectors(G, vecs) -> list[np.ndarray]:
 
 def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
     """The exact extremum of a 2-graph at p = 1 or 2 where `_closed_form`
-    gives one and no flip makes the minimum (`_flip_set`), else the best
-    candidate of `target` for a checked p (see `_candidates`).
+    gives one, else the best candidate of `target` for a checked p (see
+    `_candidates`).
 
     A closed form is "converged", with no iteration and no restart.  A
     candidate is "converged" when it met tol and, for the maximum, p = 1 or
@@ -921,8 +929,7 @@ def _solve(G, p, opts, target, extra, top=None) -> EigenResult:
     if G.n_vertices == 0 or G.num_edges == 0:
         vec = PointOnSphere(np.zeros(G.n_vertices), p, normalized=False)
         return EigenResult(0.0, vec, 0.0, 0, 0, "converged", p, target)
-    x = (_closed_form(G, p, target)
-         if target == "max" or _flip_set(G) is None else None)
+    x = _closed_form(G, p, target)
     if x is not None:
         x = normalize_lp(x, p)      # eigh's unit vectors are off by a few ulps
         lam = evaluate(G, x)

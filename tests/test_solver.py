@@ -1311,7 +1311,8 @@ def test_p2_extremes_of_a_2_graph_are_its_eigenvalues():
         for res, want in ((top, evals[-1]), (bot, evals[0])):
             assert abs(res.value - want) <= 1e-12 * abs(want), (G, res.target)
             assert res.status == "converged" and res.residual <= FAST.tol
-            assert res.iterations == 0 and res.restarts_used in (0, 1)  # 1: flipped
+            flipped = res.target == "min" and ps.odd_transversal(G) is not None
+            assert res.iterations == 0 and res.restarts_used == int(flipped)
 
 
 def test_p1_minimum_of_a_2_graph_is_half_the_heaviest_weight():
@@ -1365,12 +1366,16 @@ def test_closed_forms_run_no_restart(monkeypatch):
 
 def test_closed_forms_fall_back_to_the_restarts(monkeypatch):
     from pspectral import combinatorics, solver
-    # above the clique budget the p = 1 maximum is the restarts' 2/3 again,
-    # and above the n cap the p = 2 extremes are the restarts' values
-    monkeypatch.setattr(combinatorics, "CLIQUE_BUDGET", 35)   # G12 has 36
+    # at each limit the closed form still runs; above the clique budget the
+    # p = 1 maximum is the restarts' 2/3 again, and above the n cap the p = 2
+    # extremes are the restarts' values
+    monkeypatch.setattr(combinatorics, "CLIQUE_BUDGET", 36)   # G12 has 36
+    assert ps.lambda_max(G12, 1.0, POOL).restarts_used == 0
+    monkeypatch.setattr(combinatorics, "CLIQUE_BUDGET", 35)
     res = ps.lambda_max(G12, 1.0, POOL)
     assert (float.hex(res.value), res.status, res.restarts_used, res.iterations) == (
         "0x1.5555555555557p-1", "converged", 4, 17)
+    monkeypatch.setattr(solver, "_DENSE_MAX_N", 12)
     assert ps.lambda_max(G12, 2.0, POOL).restarts_used == 0
     monkeypatch.setattr(solver, "_DENSE_MAX_N", 11)
     top, bot = ps.extremes(G12, 2.0, POOL)
