@@ -88,12 +88,13 @@ class WeightedHypergraph:
                 continue  # zero weight means absent edge
             store[edge] = w
         # on the unit l^p sphere every coordinate is at most 1, so the value
-        # and every gradient and Hessian entry are bounded by r! * sum(w);
-        # float products overflow to inf rather than raise
+        # and every gradient and Hessian entry are bounded by r! * sum(w), and
+        # the solvers' x . grad = r * value and H x = (r-1) grad by r * r! *
+        # sum(w); float products overflow to inf rather than raise
         total = sum(store.values())
-        if not math.isfinite(math.prod(range(2, rank + 1), start=total)):
-            raise ValueError(f"edge weights sum to {total:.6g}, and {rank}! times "
-                             f"that is not finite")
+        if not math.isfinite(math.prod(range(2, rank + 1), start=rank * total)):
+            raise ValueError(f"edge weights sum to {total:.6g}, and {rank} * {rank}! "
+                             f"times that is not finite")
         self._rank = rank
         self._n = n_vertices
         self._edges = tuple(sorted(store))

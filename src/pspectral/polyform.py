@@ -118,27 +118,40 @@ def gradient(G: WeightedHypergraph, x: np.ndarray) -> np.ndarray:
     return _loo_gradient(idx, w, x, G.n_vertices)
 
 
-def hessian(G: WeightedHypergraph, x: np.ndarray) -> np.ndarray:
+def _pair_bins(G: WeightedHypergraph) -> list[np.ndarray]:
+    """The Hessian bin i*n + j of every edge's slot pair (a, b), a < b: one
+    array per pair, in the order `hessian` adds them.  A caller that takes
+    several Hessians of one graph builds them once and passes them in."""
+    idx, _ = G.arrays()
+    n, r = G.n_vertices, idx.shape[1]
+    return [idx[:, a] * n + idx[:, b] for a in range(r) for b in range(a + 1, r)]
+
+
+def hessian(G: WeightedHypergraph, x: np.ndarray, bins=None) -> np.ndarray:
     """Hessian of the edge polynomial: H_ij = r! * sum over edges e through i
     and j of w_e times the product of x over e minus {i, j}; zero diagonal.
 
     The leave-two-out products of each slot pair are added with np.bincount
     over i*n + j in the fixed edge order, like the gradient, so the result is
     reproducible bit for bit; adding the transpose makes it exactly symmetric.
+    `bins` is `_pair_bins(G)`, built here when not given; the result is the
+    same bit for bit either way.
     """
     x = _check_length(G, x)
     n = G.n_vertices
     idx, w = G.arrays()
     r = idx.shape[1]
+    if bins is None:
+        bins = _pair_bins(G)
     half = np.zeros(n * n)
     Y = x[idx.T]
-    for a in range(r):
-        for b in range(a + 1, r):
-            prod = w.copy()
-            for k in range(r):
-                if k != a and k != b:
-                    prod *= Y[k]
-            half += np.bincount(idx[:, a] * n + idx[:, b], weights=prod, minlength=n * n)
+    pairs = ((a, b) for a in range(r) for b in range(a + 1, r))
+    for (a, b), key in zip(pairs, bins):
+        prod = w.copy()
+        for k in range(r):
+            if k != a and k != b:
+                prod *= Y[k]
+        half += np.bincount(key, weights=prod, minlength=n * n)
     half = half.reshape(n, n)
     return math.factorial(r) * (half + half.T)
 

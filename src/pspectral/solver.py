@@ -58,7 +58,10 @@ Algorithm map
     Each Newton step is an LU solve of the square (n+1)-system, with a
     least-squares (SVD) solve as the fallback when LU finds it singular or
     its step is not finite; on the p = 1 face every step is the
-    least-squares one.
+    least-squares one.  At p > 1 a step costs one Hessian, its gradient read
+    off it by Euler's identity H x = (r-1) grad, and the polish's residual
+    and second-order test reuse the last step's Hessian and gradient; the
+    p = 1 face takes a gradient and a Hessian per step.
     A Newton point ends the restart when it meets tol, is no worse than the
     iterate and the tangent Lagrangian Hessian has the sign of the target; on
     a saddle a step along the most-wrong curvature resumes the iteration.
@@ -102,8 +105,8 @@ import numpy as np
 
 from .combinatorics import _cliques, odd_transversal
 from .hypergraph import WeightedHypergraph, _as_int
-from .polyform import (PointOnSphere, check_exponent, evaluate, evaluate_many,
-                       gradient, hessian, lp_norm, normalize_lp)
+from .polyform import (PointOnSphere, _pair_bins, check_exponent, evaluate,
+                       evaluate_many, gradient, hessian, lp_norm, normalize_lp)
 
 _STABLE_ITERS = 10
 # step halvings per backtracking search (`_armijo_step`, `_simplex_step`): no
@@ -257,6 +260,7 @@ class _Cand:
     tol_met: bool
     gap: float = math.nan
     dup: bool = False             # stopped near an earlier restart's end point
+    g: np.ndarray | None = None   # the gradient at x, where the restart took one
 
 
 def _armijo_step(G, p, x, lam, g, eta):
@@ -410,9 +414,9 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step, known=()) -> _Cand:
         if polish:
             polished = _newton_polish(G, p, x, lam, tol, sense)
             if polished is not None:
-                x, lam, res_y, met = polished
+                x, lam, res_y, met, g = polished
                 if met:
-                    return _Cand(x, lam, res_y, it, True)
+                    return _Cand(x, lam, res_y, it, True, g=g)
                 eta, g, lam_prev, stable, stalled = None, None, None, 0, 0
                 continue
         if moved is None:
@@ -426,40 +430,48 @@ def _sphere_loop(G, p, x0, tol, max_iter, sense, step, known=()) -> _Cand:
         return _Cand(x, lam, math.nan, it, met, dup=dup)
     value = evaluate(G, x)
     if res is None:
-        res = _residual_from_grad(G.rank, p, value, x, gradient(G, x))
-    return _Cand(x, value, res, it, met, dup=dup)
+        res = _residual_from_grad(G.rank, p, value, x, g)
+    return _Cand(x, value, res, it, met, dup=dup, g=g)
 
 
 def _newton_polish(G, p, x, lam, tol, sense):
     """Newton from the iterate (x, lam) of `_sphere_loop`.
 
-    Returns (y, value, residual, True) when Newton reaches a point y that
-    meets tol, is no worse than x (up to 1e-12 relative) and passes the
-    second-order test (but for a positive maximizer at p >= r);
-    (y, value, nan, False) when Newton lands on a saddle
-    and a backtracked step along its most-wrong curvature improves on both
-    the saddle and x, so that the loop resumes from y; None otherwise, so
-    that it resumes from x.  For the maximum every point stays nonnegative.
+    Returns (y, value, residual, True, grad) when Newton reaches a point y
+    that meets tol, is no worse than x (up to 1e-12 relative) and passes the
+    second-order test (but for a positive maximizer at p >= r), grad being
+    the gradient at y; (y, value, nan, False, None) when Newton lands on a
+    saddle and a backtracked step along its most-wrong curvature improves on
+    both the saddle and x, so that the loop resumes from y; None otherwise,
+    so that it resumes from x.  For the maximum every point stays
+    nonnegative.
+    The residual and the second-order test take the gradient and the
+    Hessian of Newton's converged step, rescaled to y; only a point that was
+    clamped, or reached when Newton used up its steps, takes a new gradient
+    and, for the test, a new Hessian.
     """
     nonneg = sense > 0
     with np.errstate(all="ignore"):
-        y = _newton_stationary(G, p, x, lam, tol)
+        y, H, g = _newton_stationary(G, p, x, lam, tol)
     if nonneg and y is not None and (y < 0.0).any():
         y = np.maximum(y, 0.0)      # roundoff below a zero entry, to -1e-28 at p < 2
         y = y / lp_norm(y, p) if y.any() else None
+        H = None
     if y is None:
         return None
+    if H is None:
+        g = gradient(G, y)
     lam_y = evaluate(G, y)
-    res_y = _residual_from_grad(G.rank, p, lam_y, y, gradient(G, y))
+    res_y = _residual_from_grad(G.rank, p, lam_y, y, g)
     if res_y > tol or sense * (lam_y - lam) < -1e-12 * max(1.0, abs(lam)):
         return None
     # at p >= r the value is concave in x^p on the simplex (as in
     # `_concavity_gap`): a positive stationary point is the global maximum
     if sense > 0 and p >= G.rank and (y > 0.0).all():
-        return y, lam_y, res_y, True
-    curv, v, z = _wrong_curvature(G, p, y, lam_y, sense)
+        return y, lam_y, res_y, True, g
+    curv, v, z = _wrong_curvature(G, p, y, lam_y, sense, H)
     if curv >= 0.0:
-        return y, lam_y, res_y, True
+        return y, lam_y, res_y, True, g
     a = _z_exponent(p)
     ref = lam_y if sense * (lam_y - lam) > 0 else lam
     t = 1.0
@@ -479,7 +491,7 @@ def _newton_polish(G, p, x, lam, tol, sense):
                         best is None or sense * (lam_t - best[1]) > 0):
                     best = (trial, lam_t)
             if best is not None:
-                return best[0], best[1], math.nan, False
+                return best[0], best[1], math.nan, False, None
             t *= 0.5
     return None
 
@@ -504,13 +516,23 @@ def _newton_stationary(G, p, x, lam, tol):
     step is an LU solve (`np.linalg.solve`); `np.linalg.lstsq` (an SVD, about
     ten times dearer at n = 40) takes over only when the LU solve finds the
     matrix singular or returns a step that is not finite.
+    At p > 1 each step takes one Hessian H, its slot-pair bins built once
+    per call (`polyform._pair_bins`), and reads the gradient off it by
+    Euler's identity H x = (r-1) grad, as H (x/(r-1)): x is scaled before the
+    product, so no partial sum exceeds r! * sum(w) on the unit sphere.
     At p = 1 (z = x) it is the KKT system of the face of the l^1 sphere that
     x lies on, in lam and the support S of x only; a step that would zero or
     flip a coordinate of S stops there and drops it, so x stays on the face.
     That system is singular where the face holds a flat set of optima, so
-    every step there is the minimum-norm `lstsq` step.
-    Returns the point reached, scaled onto the unit sphere, or None when a
-    step is not finite.  Call under np.errstate: a long step may overflow.
+    every step there is the minimum-norm `lstsq` step.  The face takes its
+    gradient from `gradient` and its Hessian only after the defect test: on
+    a flat face the gradient read off H moved the maximizer to another point
+    of the face.
+    Returns (y, H, grad): y the point reached, scaled onto the unit sphere by
+    its norm nrm; at p > 1, when the defect met 1e-3 * tol, H and grad are
+    those of the last step rescaled to y (by nrm^-(r-2) and nrm^-(r-1)), else
+    None.  Returns (None, None, None) when a step is not finite.  Call under
+    np.errstate: a long step may overflow.
     """
     r = G.rank
     a = _z_exponent(p)
@@ -525,22 +547,28 @@ def _newton_stationary(G, p, x, lam, tol):
     F_buf = np.empty(x.size + 1)
     J_buf = np.empty((x.size + 1, x.size + 1))
     diag = np.arange(x.size)
+    bins = None if face else _pair_bins(G)
+    H = None
     for _ in range(_NEWTON_STEPS):
         xz = _signed_power(z, a) if dual else z
         zS = z[S]
         k = zS.size
         F, J = F_buf[:k + 1], J_buf[:k + 1, :k + 1]
         zc = _signed_power(zS, c)
-        np.subtract(mu * zc, gradient(G, xz)[S] / r, out=F[:k])
+        if face:
+            g = gradient(G, xz)
+        else:
+            H = hessian(G, xz, bins)
+            g = H @ (xz / (r - 1))
+        np.subtract(mu * zc, g[S] / r, out=F[:k])
         F[k] = np.add.reduce(np.abs(zS) ** q) - 1.0
         if not np.isfinite(F).all():
-            return None
+            return None, None, None
         if np.maximum.reduce(np.abs(F)) <= 1e-3 * tol:
             break
         az = np.abs(zS)
-        H = hessian(G, xz)
         if face:
-            H = H[np.ix_(S, S)]
+            H = hessian(G, xz)[np.ix_(S, S)]
         # at a = 1, dx/dz is 1 and q - 1 is c exactly
         np.multiply(H, -a / r * az ** (a - 1.0) if dual else -a / r, out=J[:k, :k])
         J[diag[:k], diag[:k]] += mu * c * az ** (c - 1.0)
@@ -548,7 +576,7 @@ def _newton_stationary(G, p, x, lam, tol):
         J[k, :k] = q * (_signed_power(zS, q - 1.0) if dual else zc)
         J[k, k] = 0.0
         if not np.isfinite(J).all():
-            return None
+            return None, None, None
         try:
             step = None if face else np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -569,15 +597,22 @@ def _newton_stationary(G, p, x, lam, tol):
         if face:
             z[sgn * z <= 0.0] = 0.0
             S = np.flatnonzero(z)
+    else:
+        H = None        # the steps ran out: H and g are not those of the point reached
     xz = _signed_power(z, a) if dual else z
     nrm = lp_norm(xz, p)
     if not 0.0 < nrm < math.inf:
-        return None
-    return xz / nrm
+        return None, None, None
+    if face or H is None:
+        return xz / nrm, None, None
+    H /= nrm ** (r - 2)
+    g /= nrm ** (r - 1)
+    return xz / nrm, H, g
 
 
-def _wrong_curvature(G, p, x, lam, sense):
-    """The second-order test at a stationary unit vector x with value lam.
+def _wrong_curvature(G, p, x, lam, sense, H=None):
+    """The second-order test at a stationary unit vector x with value lam,
+    on the Hessian H at x (taken here when None; overwritten).
 
     The Lagrangian Hessian H - r*lam*(p-1)*diag(|x|^(p-2)), projected onto
     the tangent space {v : sign(x)|x|^(p-1) . v = 0}, must be semidefinite
@@ -591,7 +626,7 @@ def _wrong_curvature(G, p, x, lam, sense):
     # at a = 1 z is x (x + 0.0 turns -0.0 into +0.0, as sign(x)|x| does), D is I
     z = _signed_power(x, 1.0 / a) if a != 1.0 else x + 0.0
     az = np.abs(z)
-    L = hessian(G, x)
+    L = hessian(G, x) if H is None else H
     if a != 1.0:
         d = a * az ** (a - 1.0)
         L *= np.outer(d, d)
@@ -669,7 +704,7 @@ def _refine_tied_simplex(G, cands, sense, tol):
     for c in cands:
         if not c.dup and sense * c.lam >= best - tol:
             with np.errstate(all="ignore"):
-                y = _newton_stationary(G, 1.0, c.x, c.lam, tol)
+                y = _newton_stationary(G, 1.0, c.x, c.lam, tol)[0]
             if y is not None:
                 lam_y = evaluate(G, y)
                 if sense * (lam_y - c.lam) >= -1e-12 * max(1.0, abs(c.lam)):
@@ -756,16 +791,17 @@ def _pick(cands: list[_Cand], sense: float, tol: float) -> _Cand:
     return min(pool, key=lambda c: (-sense * c.lam, tuple(c.x.tolist())))
 
 
-def _concavity_gap(G, p, x, lam) -> float:
+def _concavity_gap(G, p, x, lam, g) -> float:
     """Frank-Wolfe gap (Jaggi, ICML 2013) of a nonnegative unit x with value
     lam at p >= r, where the value is concave in y = x^p on the simplex: the
     maximum is at most lam + (r/p)(hi - lam), hi = max_k grad_k/(r x_k^(p-1)).
     The value is not differentiable where a vertex of positive degree has
     x_k = 0, and the gap is +inf there (on two disjoint edges at p = 3 a point
-    on one edge is stationary at 2^(1/3), below the maximum 2^(2/3))."""
+    on one edge is stationary at 2^(1/3), below the maximum 2^(2/3)).
+    `g` is the gradient at x."""
     live = G.degrees() > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = gradient(G, x)[live] / (G.rank * x[live] ** (p - 1.0))
+        quot = g[live] / (G.rank * x[live] ** (p - 1.0))
     if not np.all(np.isfinite(quot)):
         return math.inf
     return G.rank / p * (float(quot.max()) - lam)
@@ -807,7 +843,7 @@ def _candidates(G, p, opts, target, extra, top=None) -> list[_Cand]:
         c = _sphere_loop(G, p, x0, opts.tol, opts.max_iter, sense, step, known)
         cands.append(c)
         if sense > 0 and p >= G.rank and not c.dup:
-            c.gap = _concavity_gap(G, p, c.x, c.lam)
+            c.gap = _concavity_gap(G, p, c.x, c.lam, c.g)
             if c.tol_met and c.gap <= opts.tol * max(1.0, c.lam):
                 break
     if p == 1.0:

@@ -93,6 +93,24 @@ def test_huge_total_weight_exits_one_at_once(tmp_path):
     assert "sum to 1e+308" in out.stderr
 
 
+def test_weight_whose_euler_sum_overflows_exits_one(tmp_path):
+    # 4! * 7e306 is finite, but the solver's x . grad = 4 * value is not: the
+    # graph was accepted, and the solve warned of an overflow in matmul, ran
+    # 32 restarts of 100,000 iterations for about 2 minutes and exited 2
+    doc = '{"rank": 4, "vertices": 4, "edges": [{"verts": [0, 1, 2, 3], "w": 7e306}]}'
+    with pytest.raises(ValueError, match=r"4 \* 4! times that is not finite"):
+        ps.from_json(doc)
+    path = tmp_path / "euler.json"
+    path.write_text(doc)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ps.__file__)))
+    out = subprocess.run([sys.executable, "-m", "pspectral.cli", "compute", "--input",
+                          str(path), "--p", "5"], capture_output=True, text=True,
+                         env=env, timeout=30)
+    assert out.returncode == 1 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "sum to 7e+306" in lines[0]
+
+
 def test_non_real_json_weights_exit_one(capsys, tmp_path):
     # a bare float() read "1.5" as 1.5 and true as 1.0, and [1] escaped as a
     # TypeError traceback

@@ -67,13 +67,16 @@ def test_weights_must_be_real_numbers():
 
 
 def test_rejects_a_total_weight_the_polynomial_cannot_hold():
-    # every value, gradient and Hessian entry on the unit sphere is at most r! * sum(w)
+    # every value, gradient and Hessian entry on the unit sphere is at most
+    # r! * sum(w), and the solvers' x . grad = r * value at most r * r! * sum(w)
     for rank, n, edges in [(2, 2, {(0, 1): 1e308}), (2, 3, {(0, 1): 1e308, (1, 2): 1e308}),
-                           (3, 3, {(0, 1, 2): 3e307})]:
+                           (3, 3, {(0, 1, 2): 3e307}), (2, 2, {(0, 1): 8e307}),
+                           (3, 3, {(0, 1, 2): 2.9e307}), (4, 4, {(0, 1, 2, 3): 7e306})]:
         with pytest.raises(ValueError, match="is not finite"):
             ps.WeightedHypergraph(rank, n, edges)
-    assert ps.WeightedHypergraph(2, 2, {(0, 1): 8e307}).size() == 8e307
-    assert ps.WeightedHypergraph(3, 3, {(0, 1, 2): 2.9e307}).size() == 2.9e307
+    assert ps.WeightedHypergraph(2, 2, {(0, 1): 4.4e307}).size() == 4.4e307
+    assert ps.WeightedHypergraph(3, 3, {(0, 1, 2): 9.9e306}).size() == 9.9e306
+    assert ps.WeightedHypergraph(4, 4, {(0, 1, 2, 3): 1.8e306}).size() == 1.8e306
 
 
 def test_json_rejects_non_integer_ids():

@@ -112,6 +112,43 @@ def test_hessian_matches_exact_sums_and_euler(G):
     assert hessian(G, x).tobytes() == hessian(G, x.copy()).tobytes()
 
 
+def keyed_hessian(G, x):
+    """The Hessian as `hessian` built it before its slot-pair bins could be
+    passed in: each pair's bins i*n + j made afresh, then the same sums."""
+    idx, w = G.arrays()
+    n, r = G.n_vertices, G.rank
+    half = np.zeros(n * n)
+    Y = x[idx.T]
+    for a in range(r):
+        for b in range(a + 1, r):
+            prod = w.copy()
+            for k in range(r):
+                if k != a and k != b:
+                    prod *= Y[k]
+            half += np.bincount(idx[:, a] * n + idx[:, b], weights=prod, minlength=n * n)
+    half = half.reshape(n, n)
+    return math.factorial(r) * (half + half.T)
+
+
+def test_hessian_with_prebuilt_bins_is_bit_identical():
+    # the solver's Newton builds the bins once per polish and reads its
+    # gradient off the Hessian by Euler's identity, H (x/(r-1)) = grad
+    from pspectral.polyform import _pair_bins, hessian
+    rng = np.random.default_rng(28)
+    for r in (2, 3, 4):
+        for weighted in (False, True):
+            G = random_graph(rng, r=r, n_lo=5, n_hi=9, weighted=weighted)
+            bins = _pair_bins(G)
+            for _ in range(3):
+                x = rng.uniform(-1.0, 1.0, G.n_vertices)
+                x[rng.choice(G.n_vertices, 2, replace=False)] = (0.0, -0.0)
+                H = hessian(G, x, bins)
+                assert H.tobytes() == hessian(G, x).tobytes()
+                assert H.tobytes() == keyed_hessian(G, x).tobytes()
+                g = ps.gradient(G, x)
+                assert np.max(np.abs(H @ (x / (r - 1)) - g)) <= 1e-13 * np.max(np.abs(g))
+
+
 def test_hessian_small_cases():
     from pspectral.polyform import hessian
     K = ps.single_edge(3)
