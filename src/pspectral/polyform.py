@@ -12,6 +12,7 @@ for bit, with an error of a few ulps of the largest component.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -123,8 +124,9 @@ def _pair_bins(G: WeightedHypergraph) -> list[np.ndarray]:
     array per pair, in the order `hessian` adds them.  A caller that takes
     several Hessians of one graph builds them once and passes them in."""
     idx, _ = G.arrays()
-    n, r = G.n_vertices, idx.shape[1]
-    return [idx[:, a] * n + idx[:, b] for a in range(r) for b in range(a + 1, r)]
+    n = G.n_vertices
+    pairs = itertools.combinations(range(idx.shape[1]), 2)
+    return [idx[:, a] * n + idx[:, b] for a, b in pairs]
 
 
 def hessian(G: WeightedHypergraph, x: np.ndarray, bins=None) -> np.ndarray:
@@ -145,8 +147,7 @@ def hessian(G: WeightedHypergraph, x: np.ndarray, bins=None) -> np.ndarray:
         bins = _pair_bins(G)
     half = np.zeros(n * n)
     Y = x[idx.T]
-    pairs = ((a, b) for a in range(r) for b in range(a + 1, r))
-    for (a, b), key in zip(pairs, bins):
+    for (a, b), key in zip(itertools.combinations(range(r), 2), bins):
         prod = w.copy()
         for k in range(r):
             if k != a and k != b:

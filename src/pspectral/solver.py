@@ -525,9 +525,9 @@ def _newton_stationary(G, p, x, lam, tol):
     flip a coordinate of S stops there and drops it, so x stays on the face.
     That system is singular where the face holds a flat set of optima, so
     every step there is the minimum-norm `lstsq` step.  The face takes its
-    gradient from `gradient` and its Hessian only after the defect test: on
-    a flat face the gradient read off H moved the maximizer to another point
-    of the face.
+    gradient from `gradient` and its Hessian only after the defect test: read
+    off H there, the gradient moved p = 1 solves, among them a maximizer on
+    a flat face of maximizers (`cycle(3,7)`).
     Returns (y, H, grad): y the point reached, scaled onto the unit sphere by
     its norm nrm; at p > 1, when the defect met 1e-3 * tol, H and grad are
     those of the last step rescaled to y (by nrm^-(r-2) and nrm^-(r-1)), else
